@@ -89,18 +89,18 @@ void BM_TeslaChainBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TeslaChainBuild)->Arg(64)->Arg(1024)->Arg(8192);
 
-void BM_EventQueuePushPop(benchmark::State& state) {
-  sim::EventQueue queue;
+void BM_SimulatorScheduleRun(benchmark::State& state) {
+  sim::Simulator simulator;
   std::int64_t t = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i)
-      queue.push(sim::Time{(t * 7919 + i * 131) % 100000}, [] {});
-    for (int i = 0; i < 64; ++i) queue.pop();
+      simulator.schedule(sim::Time{(t * 7919 + i * 131) % 100000}, [] {});
+    simulator.run();
     ++t;
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_EventQueuePushPop);
+BENCHMARK(BM_SimulatorScheduleRun);
 
 void BM_MeshRecompute(benchmark::State& state) {
   Rng rng(5);

@@ -18,6 +18,7 @@
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace {
@@ -64,6 +65,16 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flag values parse strictly; a bad one exits 2 like a missing
+    // one does.
+    auto nextUint = [&] {
+      try {
+        return parseUint(arg, next());
+      } catch (const PreconditionError& e) {
+        std::cerr << e.what() << "\n";
+        std::exit(2);
+      }
+    };
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -74,13 +85,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       opts.resume = true;
     } else if (arg == "--workers") {
-      opts.workers = static_cast<unsigned>(std::stoul(next()));
+      opts.workers = static_cast<unsigned>(nextUint());
     } else if (arg == "--metrics-out") {
       opts.metricsOutPath = next();
     } else if (arg == "--worker-stats") {
       opts.workerStats = true;
     } else if (arg == "--stop-after") {
-      opts.stopAfter = std::stoul(next());
+      opts.stopAfter = nextUint();
     } else if (arg == "--flight-recorder-dir") {
       opts.flightRecorderDir = next();
     } else if (arg == "--dry-run") {

@@ -17,6 +17,7 @@
 
 #include "core/wmsn.hpp"
 #include "obs/trace_analyze.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -173,6 +174,16 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flag values parse strictly (parseUint / parseDouble); a bad
+    // one exits 2 like a missing one does.
+    auto nextAs = [&](auto parse) {
+      try {
+        return parse(arg, next());
+      } catch (const PreconditionError& e) {
+        std::cerr << e.what() << "\n";
+        std::exit(2);
+      }
+    };
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -210,26 +221,26 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--sensors") {
-      cfg.sensorCount = std::stoul(next());
+      cfg.sensorCount = nextAs(parseUint);
     } else if (arg == "--gateways") {
-      cfg.gatewayCount = std::stoul(next());
+      cfg.gatewayCount = nextAs(parseUint);
     } else if (arg == "--places") {
-      cfg.feasiblePlaceCount = std::stoul(next());
+      cfg.feasiblePlaceCount = nextAs(parseUint);
     } else if (arg == "--area") {
-      cfg.width = cfg.height = std::stod(next());
+      cfg.width = cfg.height = nextAs(parseDouble);
     } else if (arg == "--range") {
-      cfg.radioRange = std::stod(next());
+      cfg.radioRange = nextAs(parseDouble);
     } else if (arg == "--rounds") {
-      cfg.rounds = static_cast<std::uint32_t>(std::stoul(next()));
+      cfg.rounds = static_cast<std::uint32_t>(nextAs(parseUint));
     } else if (arg == "--packets") {
       cfg.packetsPerSensorPerRound =
-          static_cast<std::uint32_t>(std::stoul(next()));
+          static_cast<std::uint32_t>(nextAs(parseUint));
     } else if (arg == "--seed") {
-      cfg.seed = std::stoull(next());
+      cfg.seed = nextAs(parseUint);
     } else if (arg == "--repeat") {
-      repeat = static_cast<unsigned>(std::stoul(next()));
+      repeat = static_cast<unsigned>(nextAs(parseUint));
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::stoul(next()));
+      threads = static_cast<unsigned>(nextAs(parseUint));
     } else if (arg == "--workload") {
       const std::string name = next();
       if (name == "legacy")
@@ -245,14 +256,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--rate") {
-      cfg.workload.ratePerSensor = std::stod(next());
+      cfg.workload.ratePerSensor = nextAs(parseDouble);
     } else if (arg == "--queue") {
-      const long cap = std::stol(next());
-      if (cap < 0) {
-        std::cerr << "queue capacity must be >= 0\n";
-        return 2;
-      }
-      cfg.macQueue.capacity = static_cast<std::size_t>(cap);
+      cfg.macQueue.capacity = nextAs(parseUint);
     } else if (arg == "--queue-policy") {
       const std::string name = next();
       if (name == "drop-tail")
@@ -264,7 +270,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--attackers") {
-      cfg.attackerCount = std::stoul(next());
+      cfg.attackerCount = nextAs(parseUint);
     } else if (arg == "--fault-plan") {
       try {
         cfg.faults.events = fault::parseFaultPlan(next());
@@ -275,20 +281,20 @@ int main(int argc, char** argv) {
       anyFaultFlag = true;
     } else if (arg == "--node-mtbf") {
       cfg.faults.sensorMtbfRounds =
-          static_cast<std::uint32_t>(std::stoul(next()));
+          static_cast<std::uint32_t>(nextAs(parseUint));
       anyFaultFlag = true;
     } else if (arg == "--node-mttr") {
       cfg.faults.sensorMttrRounds =
-          static_cast<std::uint32_t>(std::stoul(next()));
+          static_cast<std::uint32_t>(nextAs(parseUint));
     } else if (arg == "--gateway-mtbf") {
       cfg.faults.gatewayMtbfRounds =
-          static_cast<std::uint32_t>(std::stoul(next()));
+          static_cast<std::uint32_t>(nextAs(parseUint));
       anyFaultFlag = true;
     } else if (arg == "--gateway-mttr") {
       cfg.faults.gatewayMttrRounds =
-          static_cast<std::uint32_t>(std::stoul(next()));
+          static_cast<std::uint32_t>(nextAs(parseUint));
     } else if (arg == "--link-loss") {
-      const double p = std::stod(next());
+      const double p = nextAs(parseDouble);
       if (p < 0.0 || p >= 1.0) {
         std::cerr << "--link-loss expects a fraction in [0,1)\n";
         return 2;
@@ -332,7 +338,7 @@ int main(int argc, char** argv) {
       traceSpansPath = next();
       cfg.obs.traceSpans = true;
     } else if (arg == "--trace-sample") {
-      const double f = std::stod(next());
+      const double f = nextAs(parseDouble);
       if (f <= 0.0 || f > 1.0) {
         std::cerr << "--trace-sample expects a fraction in (0,1]\n";
         return 2;

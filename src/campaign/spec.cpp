@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
 
@@ -38,24 +39,8 @@ std::vector<std::string> splitList(const std::string& s, char sep) {
                           what);
 }
 
-double parseDouble(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    WMSN_REQUIRE(used == value.size());
-    return v;
-  } catch (const std::exception&) {
-    throw PreconditionError("campaign key '" + key +
-                            "': not a number: '" + value + "'");
-  }
-}
-
-std::uint64_t parseUint(const std::string& key, const std::string& value) {
-  WMSN_REQUIRE_MSG(!value.empty() && value.find_first_not_of("0123456789") ==
-                                         std::string::npos,
-                   "campaign key '" + key + "': not a non-negative integer: '" +
-                       value + "'");
-  return std::stoull(value);
+std::string keyLabel(const std::string& key) {
+  return "campaign key '" + key + "'";
 }
 
 bool parseSwitch(const std::string& key, const std::string& value) {
@@ -95,18 +80,18 @@ void applyFault(core::ScenarioConfig& cfg, const std::string& value) {
   for (const std::string& token : splitList(value, ';')) {
     if (token.rfind("smtbf:", 0) == 0) {
       cfg.faults.sensorMtbfRounds = static_cast<std::uint32_t>(
-          parseUint("fault", token.substr(6)));
+          parseUint(keyLabel("fault"), token.substr(6)));
     } else if (token.rfind("smttr:", 0) == 0) {
       cfg.faults.sensorMttrRounds = static_cast<std::uint32_t>(
-          parseUint("fault", token.substr(6)));
+          parseUint(keyLabel("fault"), token.substr(6)));
     } else if (token.rfind("gwmtbf:", 0) == 0) {
       cfg.faults.gatewayMtbfRounds = static_cast<std::uint32_t>(
-          parseUint("fault", token.substr(7)));
+          parseUint(keyLabel("fault"), token.substr(7)));
     } else if (token.rfind("gwmttr:", 0) == 0) {
       cfg.faults.gatewayMttrRounds = static_cast<std::uint32_t>(
-          parseUint("fault", token.substr(7)));
+          parseUint(keyLabel("fault"), token.substr(7)));
     } else if (token.rfind("loss:", 0) == 0) {
-      const double p = parseDouble("fault", token.substr(5));
+      const double p = parseDouble(keyLabel("fault"), token.substr(5));
       WMSN_REQUIRE_MSG(p >= 0.0 && p < 1.0,
                        "campaign key 'fault': loss fraction must be in [0,1)");
       if (p > 0.0) {
@@ -129,24 +114,24 @@ void applySetting(core::ScenarioConfig& cfg, const std::string& key,
   if (key == "protocol") {
     cfg.protocol = parseProtocol(value);
   } else if (key == "sensors") {
-    cfg.sensorCount = parseUint(key, value);
+    cfg.sensorCount = parseUint(keyLabel(key), value);
   } else if (key == "gateways") {
-    cfg.gatewayCount = parseUint(key, value);
+    cfg.gatewayCount = parseUint(keyLabel(key), value);
   } else if (key == "places") {
-    cfg.feasiblePlaceCount = parseUint(key, value);
+    cfg.feasiblePlaceCount = parseUint(keyLabel(key), value);
   } else if (key == "clusters") {
-    cfg.clusterCount = parseUint(key, value);
+    cfg.clusterCount = parseUint(keyLabel(key), value);
   } else if (key == "area") {
-    cfg.width = cfg.height = parseDouble(key, value);
+    cfg.width = cfg.height = parseDouble(keyLabel(key), value);
   } else if (key == "range") {
-    cfg.radioRange = parseDouble(key, value);
+    cfg.radioRange = parseDouble(keyLabel(key), value);
   } else if (key == "rounds") {
-    cfg.rounds = static_cast<std::uint32_t>(parseUint(key, value));
+    cfg.rounds = static_cast<std::uint32_t>(parseUint(keyLabel(key), value));
   } else if (key == "packets") {
     cfg.packetsPerSensorPerRound =
-        static_cast<std::uint32_t>(parseUint(key, value));
+        static_cast<std::uint32_t>(parseUint(keyLabel(key), value));
   } else if (key == "reading-bytes") {
-    cfg.readingBytes = parseUint(key, value);
+    cfg.readingBytes = parseUint(keyLabel(key), value);
   } else if (key == "deployment") {
     if (value == "uniform") cfg.deployment = core::DeploymentKind::kUniform;
     else if (value == "grid") cfg.deployment = core::DeploymentKind::kGrid;
@@ -168,10 +153,10 @@ void applySetting(core::ScenarioConfig& cfg, const std::string& key,
       throw PreconditionError("campaign key 'workload': unknown kind '" +
                               value + "'");
   } else if (key == "rate") {
-    cfg.workload.ratePerSensor = parseDouble(key, value);
+    cfg.workload.ratePerSensor = parseDouble(keyLabel(key), value);
     cfg.workload.burst.backgroundRate = cfg.workload.ratePerSensor;
   } else if (key == "queue") {
-    cfg.macQueue.capacity = parseUint(key, value);
+    cfg.macQueue.capacity = parseUint(keyLabel(key), value);
   } else if (key == "queue-policy") {
     if (value == "drop-tail") cfg.macQueue.policy = net::QueuePolicy::kDropTail;
     else if (value == "drop-oldest")
@@ -203,7 +188,7 @@ void applySetting(core::ScenarioConfig& cfg, const std::string& key,
   } else if (key == "trace") {
     cfg.obs.traceSpans = parseSwitch(key, value);
   } else if (key == "trace-sample") {
-    const double f = parseDouble(key, value);
+    const double f = parseDouble(keyLabel(key), value);
     WMSN_REQUIRE_MSG(f > 0.0 && f <= 1.0,
                      "campaign key 'trace-sample': fraction must be in (0,1]");
     cfg.obs.traceSamplePermille =
@@ -228,7 +213,7 @@ void applySetting(core::ScenarioConfig& cfg, const std::string& key,
       throw PreconditionError("campaign key 'attack': unknown kind '" + value +
                               "'");
   } else if (key == "attackers") {
-    cfg.attackerCount = parseUint(key, value);
+    cfg.attackerCount = parseUint(keyLabel(key), value);
   } else if (key == "fault") {
     applyFault(cfg, value);
   } else {
@@ -303,9 +288,10 @@ CampaignSpec parseSpec(const std::string& text) {
         if (key == "name") {
           spec.name = value;
         } else if (key == "seed") {
-          spec.seedBase = parseUint(key, value);
+          spec.seedBase = parseUint(keyLabel(key), value);
         } else if (key == "repeats") {
-          spec.repeats = static_cast<std::uint32_t>(parseUint(key, value));
+          spec.repeats =
+              static_cast<std::uint32_t>(parseUint(keyLabel(key), value));
           if (spec.repeats == 0) fail(lineNo, "repeats must be >= 1");
         } else if (key == "compare") {
           spec.compareKey = value;

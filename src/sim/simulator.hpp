@@ -2,17 +2,18 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
+#include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace wmsn::sim {
 
-/// Discrete-event simulator: a clock plus an event queue. Single-threaded by
-/// design — parallelism in the benchmark harness comes from running many
-/// independent Simulator instances concurrently (one per scenario/seed),
-/// which is both faster and deterministic.
+/// Discrete-event simulator: a clock plus a binary heap of timed callbacks.
+/// Events at the same timestamp fire in insertion order (a sequence number
+/// breaks ties), so a run never depends on heap-internal ordering.
+/// Single-threaded by design — parallelism in the benchmark harness comes
+/// from running many independent Simulator instances concurrently (one per
+/// scenario/seed), which is both faster and deterministic.
 class Simulator {
  public:
   Simulator() = default;
@@ -22,40 +23,36 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedule `action` to run `delay` after the current time.
-  /// Requires delay >= 0.
-  EventId schedule(Time delay, std::function<void()> action);
+  /// Requires delay >= 0 and a non-empty action.
+  void schedule(Time delay, std::function<void()> action);
 
   /// Schedule `action` at an absolute time >= now().
-  EventId scheduleAt(Time when, std::function<void()> action);
+  void scheduleAt(Time when, std::function<void()> action);
 
-  bool cancel(EventId id) { return queue_.cancel(id); }
-
-  /// Run until the queue drains, `limit` events fire, or stop() is called.
-  /// Returns the number of events processed.
-  std::uint64_t run(std::uint64_t limit =
-                        std::numeric_limits<std::uint64_t>::max());
+  /// Run until the queue drains.
+  void run();
 
   /// Run until simulated time reaches `deadline` (events at exactly
-  /// `deadline` still fire), the queue drains, or stop() is called.
-  /// Afterwards now() == max(now, deadline) if the deadline was reached.
-  std::uint64_t runUntil(Time deadline);
+  /// `deadline` still fire) or the queue drains. Afterwards
+  /// now() == max(now, deadline).
+  void runUntil(Time deadline);
 
-  /// Stops the run loop after the current event finishes.
-  void stop() { stopped_ = true; }
-
-  bool pendingEvents() const { return !queue_.empty(); }
-  std::size_t queueSize() const { return queue_.size(); }
+  std::size_t queueSize() const { return heap_.size(); }
   std::uint64_t eventsProcessed() const { return eventsProcessed_; }
 
-  /// Resets the clock and clears all pending events.
-  void reset();
-
  private:
+  struct Event {
+    Time time;
+    std::uint64_t seq;
+    std::function<void()> action;
+  };
+
+  void push(Time when, std::function<void()> action);
   void dispatchOne();
 
-  EventQueue queue_;
+  std::vector<Event> heap_;  ///< min-heap on (time, seq)
   Time now_ = Time::zero();
-  bool stopped_ = false;
+  std::uint64_t nextSeq_ = 0;
   std::uint64_t eventsProcessed_ = 0;
 };
 

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/require.hpp"
 
@@ -19,51 +20,62 @@ TEST(Time, ArithmeticAndConversions) {
   EXPECT_LT(Time::zero(), a);
 }
 
-TEST(EventQueue, OrdersByTime) {
-  EventQueue q;
+TEST(Simulator, OrdersByTime) {
+  Simulator sim;
   std::vector<int> fired;
-  q.push(Time{30}, [&] { fired.push_back(3); });
-  q.push(Time{10}, [&] { fired.push_back(1); });
-  q.push(Time{20}, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().action();
+  sim.schedule(Time{30}, [&] { fired.push_back(3); });
+  sim.schedule(Time{10}, [&] { fired.push_back(1); });
+  sim.schedule(Time{20}, [&] { fired.push_back(2); });
+  sim.run();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, StableFifoAtSameTimestamp) {
-  EventQueue q;
+TEST(Simulator, StableFifoAtSameTimestamp) {
+  Simulator sim;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i)
-    q.push(Time{5}, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().action();
+    sim.schedule(Time{5}, [&fired, i] { fired.push_back(i); });
+  sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  bool fired = false;
-  const EventId id = q.push(Time{1}, [&] { fired = true; });
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.cancel(id));  // second cancel is a no-op
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, CancelMiddleKeepsOthers) {
-  EventQueue q;
+TEST(Simulator, ScheduledNowFromHandlerFiresAfterQueuedPeers) {
+  Simulator sim;
   std::vector<int> fired;
-  q.push(Time{1}, [&] { fired.push_back(1); });
-  const EventId mid = q.push(Time{2}, [&] { fired.push_back(2); });
-  q.push(Time{3}, [&] { fired.push_back(3); });
-  q.cancel(mid);
-  while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  sim.schedule(Time{5}, [&] {
+    fired.push_back(0);
+    sim.schedule(Time::zero(), [&] { fired.push_back(9); });
+  });
+  for (int i = 1; i <= 3; ++i)
+    sim.schedule(Time{5}, [&fired, i] { fired.push_back(i); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 9}));
 }
 
-TEST(EventQueue, PopOnEmptyThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.pop(), PreconditionError);
-  EXPECT_THROW(q.nextTime(), PreconditionError);
+TEST(Simulator, RunOnEmptyIsNoOp) {
+  Simulator sim;
+  sim.run();
+  EXPECT_EQ(sim.now().us, 0);
+  EXPECT_EQ(sim.eventsProcessed(), 0u);
+  EXPECT_EQ(sim.queueSize(), 0u);
+}
+
+TEST(Simulator, EmptyActionThrows) {
+  Simulator sim;
+  EXPECT_THROW(sim.schedule(Time{1}, std::function<void()>{}),
+               PreconditionError);
+  EXPECT_EQ(sim.queueSize(), 0u);
+}
+
+TEST(Simulator, FiredActionsAreReleased) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  for (int i = 1; i <= 3; ++i) sim.schedule(Time{i}, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 4);
+  sim.run();
+  EXPECT_EQ(*token, 3);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.queueSize(), 0u);
 }
 
 TEST(Simulator, AdvancesClockToEventTime) {
@@ -104,55 +116,12 @@ TEST(Simulator, RunUntilAdvancesClockEvenWithoutEvents) {
   EXPECT_EQ(sim.now().us, 1234);
 }
 
-TEST(Simulator, StopHaltsRun) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(Time{1}, [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule(Time{2}, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  // A second run resumes with the remaining event.
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, CancelScheduledEvent) {
-  Simulator sim;
-  bool fired = false;
-  const EventId id = sim.schedule(Time{10}, [&] { fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run();
-  EXPECT_FALSE(fired);
-}
-
 TEST(Simulator, SchedulingInThePastThrows) {
   Simulator sim;
   sim.schedule(Time{10}, [] {});
   sim.run();
   EXPECT_THROW(sim.scheduleAt(Time{5}, [] {}), PreconditionError);
   EXPECT_THROW(sim.schedule(Time{-1}, [] {}), PreconditionError);
-}
-
-TEST(Simulator, EventLimit) {
-  Simulator sim;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) sim.schedule(Time{i}, [&] { ++fired; });
-  EXPECT_EQ(sim.run(3), 3u);
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(Simulator, ResetClearsEverything) {
-  Simulator sim;
-  sim.schedule(Time{10}, [] {});
-  sim.schedule(Time{20}, [] {});
-  sim.run(1);
-  sim.reset();
-  EXPECT_EQ(sim.now().us, 0);
-  EXPECT_FALSE(sim.pendingEvents());
-  EXPECT_EQ(sim.eventsProcessed(), 0u);
 }
 
 TEST(Simulator, CountsEventsProcessed) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
@@ -317,6 +320,33 @@ TEST(CsvWriter, EscapesSpecialCharacters) {
 TEST(CsvWriter, RejectsMismatchedRow) {
   CsvWriter csv({"a"});
   EXPECT_THROW(csv.addRow({"x", "y"}), PreconditionError);
+}
+
+// --- Strict numeric parsing --------------------------------------------------
+
+TEST(Parse, UintAcceptsOnlyDigits) {
+  EXPECT_EQ(parseUint("--n", "0"), 0u);
+  EXPECT_EQ(parseUint("--n", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "abc", "-1", "+1", "1x", " 1", "1.5"})
+    EXPECT_THROW(parseUint("--n", bad), PreconditionError) << bad;
+  EXPECT_THROW(parseUint("--n", "18446744073709551616"), PreconditionError);
+}
+
+TEST(Parse, DoubleRejectsTrailingTextAndNonFinite) {
+  EXPECT_DOUBLE_EQ(parseDouble("--x", "-2.5"), -2.5);
+  EXPECT_DOUBLE_EQ(parseDouble("--x", "1e3"), 1000.0);
+  for (const char* bad : {"", "abc", "1.5x", "inf", "nan", "1e999"})
+    EXPECT_THROW(parseDouble("--x", bad), PreconditionError) << bad;
+}
+
+TEST(Parse, MessageNamesTheFlagAndValue) {
+  try {
+    parseUint("--sensors", "abc");
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "--sensors: not a non-negative integer: 'abc'");
+  }
 }
 
 }  // namespace
