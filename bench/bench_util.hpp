@@ -4,15 +4,36 @@
 // sections, and a tiny argument parser. Every binary runs with no arguments
 // and prints the paper-shaped tables to stdout.
 
+#include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/wmsn.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
+#include "util/require.hpp"
 
 namespace wmsn::bench {
+
+/// A count flag's value, parsed strictly: a bad one ("abc", "-1", more than
+/// an unsigned holds) prints one line and exits 2 instead of aborting or
+/// wrapping.
+inline unsigned parseUintFlag(const std::string& flag,
+                              const std::string& text) {
+  try {
+    const std::uint64_t v = parseUint(flag, text);
+    if (v > std::numeric_limits<unsigned>::max())
+      throw PreconditionError(flag + ": out of range: '" + text + "'");
+    return static_cast<unsigned>(v);
+  } catch (const PreconditionError& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
+}
 
 struct BenchArgs {
   std::optional<std::string> csvPath;
@@ -26,7 +47,7 @@ inline BenchArgs parseArgs(int argc, char** argv) {
     if (arg == "--csv" && i + 1 < argc) {
       args.csvPath = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      args.threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      args.threads = parseUintFlag(arg, argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--csv <path>] [--threads <n>]\n";

@@ -46,7 +46,7 @@ void usage() {
       "                        a dying run dumps its recent packet spans to\n"
       "                        <dir>/flight-<runId>.jsonl\n"
       "  --dry-run             print the expanded plan and exit\n"
-      "  --quiet               suppress per-run progress lines\n";
+      "  --quiet               no per-run progress lines, no per-cell table\n";
 }
 
 }  // namespace

@@ -6,12 +6,15 @@
 #      The pinned scenario runs twice, counters off and on; the only
 #      allowed difference is the "(perf counters written to ...)" notice
 #      line, which is stripped before the diff.
-#   2. pre-grid byte identity — the pinned 1k kernel scenario (the 1k
+#   2. golden byte identity — the pinned 1k kernel scenario (the 1k
 #      point of campaigns/kernel_scale.spec) must reproduce the committed
 #      tests/golden/kernel_1k/ stdout and metrics registry byte for byte.
-#      That golden was captured on the pre-spatial-grid O(n²) kernel, so
-#      this is the standing proof that the grid + active-set kernel
+#      The stdout half was captured on the pre-spatial-grid O(n²) kernel,
+#      so it is the standing proof that the grid + active-set kernel
 #      (docs/KERNEL.md) changed HOW the work is done, not WHAT happens.
+#      The metrics half is a later capture on the grid kernel, taken with
+#      this step's own command once that stdout still matched; it pins the
+#      registry against drift from here on.
 #   3. pairs budget — at the 4k curve point, pairs_examined (grid
 #      candidates) must stay within an O(n·k) budget: at most
 #      WMSN_PERF_PAIRS_BUDGET_PER_FRAME (default 200) candidates per
@@ -78,9 +81,9 @@ assert doc["telemetry"]["rounds_per_sec"] > 0, doc["telemetry"]
 EOF
 echo "check_perf: zero-perturbation ok (stdout + metrics byte-identical)"
 
-# --- 2. byte identity vs the committed pre-grid golden ---------------------
-# The exact [variant 1k] scenario of campaigns/kernel_scale.spec. The golden
-# was captured before the spatial-grid kernel landed; any stdout or metrics
+# --- 2. byte identity vs the committed golden ------------------------------
+# The exact [variant 1k] scenario of campaigns/kernel_scale.spec. The stdout
+# golden predates the spatial-grid kernel, the metrics golden does not; any
 # drift here means the kernel changed simulation outcomes, not just cost.
 kernel1k=(--protocol mlr --deployment grid --sensors 1000 --gateways 2
           --places 4 --area 630 --rounds 2 --static --workload poisson
@@ -97,11 +100,11 @@ if ! diff -u "$srcdir/tests/golden/kernel_1k/stdout.txt" \
 fi
 if ! cmp -s "$srcdir/tests/golden/kernel_1k/metrics.json" \
             "$work/golden/metrics.json"; then
-  echo "check_perf: 1k kernel scenario metrics drifted from the pre-grid" \
-       "golden (tests/golden/kernel_1k/metrics.json)" >&2
+  echo "check_perf: 1k kernel scenario metrics drifted from the golden" \
+       "(tests/golden/kernel_1k/metrics.json)" >&2
   exit 1
 fi
-echo "check_perf: pre-grid golden ok (1k stdout + metrics byte-identical)"
+echo "check_perf: 1k golden ok (stdout + metrics byte-identical)"
 
 # --- 3. pairs budget at the 4k curve point ---------------------------------
 kernel4k=(--protocol mlr --deployment grid --sensors 4000 --gateways 2

@@ -1,40 +1,66 @@
 #include "campaign/artifact.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <tuple>
 
 #include "campaign/stats.hpp"
 #include "util/json.hpp"
 #include "util/require.hpp"
+#include "util/table.hpp"
 
 namespace wmsn::campaign {
 
 namespace {
 
-/// The per-cell aggregate metrics, in artifact order.
-struct MetricAccessor {
+/// Where a per-cell metric shows up besides the cell table.
+enum class Use : std::uint8_t {
+  kCell,   ///< artifact "cells" aggregates
+  kDelta,  ///< cells, plus the paired-seed deltas (PDR / latency / lifetime)
+  kPerf,   ///< table only, for cells that captured perf; never in the
+           ///< artifact, so its bytes do not depend on `perf = on`
+};
+
+/// One per-cell metric: artifact name, per-run reader, cell-table column.
+struct CellMetric {
   const char* name;
   double (*get)(const RunRecord&);
+  const char* column;
+  int precision;
+  Use use;
 };
 
-constexpr MetricAccessor kCellMetrics[] = {
-    {"pdr", [](const RunRecord& r) { return r.pdr; }},
-    {"mean_latency_ms", [](const RunRecord& r) { return r.meanLatencyMs; }},
-    {"p95_latency_ms", [](const RunRecord& r) { return r.p95LatencyMs; }},
-    {"mean_hops", [](const RunRecord& r) { return r.meanHops; }},
-    {"goodput_pps", [](const RunRecord& r) { return r.goodputPps; }},
-    {"lifetime_s", [](const RunRecord& r) { return r.lifetimeS; }},
-    {"energy_total_j", [](const RunRecord& r) { return r.energyTotalJ; }},
-    {"pdr_during_outage",
-     [](const RunRecord& r) { return r.pdrDuringOutage; }},
-};
+double asDouble(std::uint64_t v) { return static_cast<double>(v); }
 
-/// The paired-delta metrics (ISSUE: PDR / latency / lifetime).
-constexpr MetricAccessor kDeltaMetrics[] = {
-    {"pdr", [](const RunRecord& r) { return r.pdr; }},
-    {"mean_latency_ms", [](const RunRecord& r) { return r.meanLatencyMs; }},
-    {"lifetime_s", [](const RunRecord& r) { return r.lifetimeS; }},
+/// The per-cell aggregate metrics, in artifact (and table) order.
+constexpr CellMetric kCellMetrics[] = {
+    {"pdr", [](const RunRecord& r) { return r.pdr; }, "PDR", 3, Use::kDelta},
+    {"mean_latency_ms", [](const RunRecord& r) { return r.meanLatencyMs; },
+     "lat ms", 1, Use::kDelta},
+    {"p95_latency_ms", [](const RunRecord& r) { return r.p95LatencyMs; },
+     "p95 ms", 1, Use::kCell},
+    {"mean_hops", [](const RunRecord& r) { return r.meanHops; }, "hops", 2,
+     Use::kCell},
+    {"goodput_pps", [](const RunRecord& r) { return r.goodputPps; },
+     "goodput pps", 1, Use::kCell},
+    {"lifetime_s", [](const RunRecord& r) { return r.lifetimeS; },
+     "lifetime s", 1, Use::kDelta},
+    {"energy_total_j", [](const RunRecord& r) { return r.energyTotalJ; },
+     "energy J", 2, Use::kCell},
+    {"pdr_during_outage", [](const RunRecord& r) { return r.pdrDuringOutage; },
+     "outage PDR", 3, Use::kCell},
+    {"perf_frames_transmitted",
+     [](const RunRecord& r) { return asDouble(r.perfFramesTransmitted); },
+     "frames tx", 0, Use::kPerf},
+    {"perf_pairs_examined",
+     [](const RunRecord& r) { return asDouble(r.perfPairsExamined); },
+     "pairs examined", 0, Use::kPerf},
+    {"perf_peak_rss_mb",
+     [](const RunRecord& r) { return asDouble(r.perfPeakRssKb) / 1024.0; },
+     "peak RSS MB", 1, Use::kPerf},
+    {"perf_wall_seconds", [](const RunRecord& r) { return r.perfWallSeconds; },
+     "wall s", 2, Use::kPerf},
 };
 
 void appendAggregate(std::ostream& os, const Aggregate& a) {
@@ -99,13 +125,6 @@ void appendRun(std::ostream& os, const RunRecord& r) {
   os << "}";
 }
 
-struct Cell {
-  std::string name;
-  std::vector<std::string> labels;
-  std::vector<const RunRecord*> ok;  ///< seed-index order (= plan order)
-  std::size_t failed = 0;
-};
-
 int compareAxisIndex(const CampaignSpec& spec) {
   if (spec.compareKey.empty()) return -1;
   for (std::size_t i = 0; i < spec.axes.size(); ++i)
@@ -115,38 +134,85 @@ int compareAxisIndex(const CampaignSpec& spec) {
 
 }  // namespace
 
+std::vector<CellSummary> summarizeCells(
+    const std::vector<PlannedRun>& plan,
+    const std::map<std::string, RunRecord>& records) {
+  // Group by cell in plan (first-occurrence) order; each cell's ok runs stay
+  // in seed-index (= plan) order.
+  std::vector<CellSummary> cells;
+  std::vector<std::vector<const RunRecord*>> okRuns;
+  std::map<std::string, std::size_t> cellIndex;
+  for (const PlannedRun& run : plan) {
+    const auto it = records.find(run.id);
+    WMSN_REQUIRE_MSG(it != records.end(),
+                     "campaign artifact is missing run: " + run.id);
+    const RunRecord& rec = it->second;
+    auto [ci, inserted] = cellIndex.emplace(run.cell, cells.size());
+    if (inserted) {
+      cells.push_back(CellSummary{run.cell, run.axisLabels, 0, 0, false, {}});
+      okRuns.emplace_back();
+    }
+    CellSummary& cell = cells[ci->second];
+    if (rec.ok()) {
+      okRuns[ci->second].push_back(&rec);
+      cell.perfCaptured = cell.perfCaptured || rec.perfCaptured;
+    } else {
+      ++cell.nFailed;
+    }
+  }
+
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    CellSummary& cell = cells[c];
+    cell.nOk = okRuns[c].size();
+    for (const CellMetric& m : kCellMetrics) {
+      std::vector<double> samples;
+      samples.reserve(okRuns[c].size());
+      for (const RunRecord* r : okRuns[c]) samples.push_back(m.get(*r));
+      cell.metrics.push_back(aggregate(samples));
+    }
+  }
+  return cells;
+}
+
+std::string renderCellTable(const std::vector<CellSummary>& cells) {
+  const bool anyPerf =
+      std::any_of(cells.begin(), cells.end(),
+                  [](const CellSummary& c) { return c.perfCaptured; });
+  std::vector<std::string> header{"cell", "ok", "failed"};
+  for (const CellMetric& m : kCellMetrics)
+    if (m.use != Use::kPerf || anyPerf) header.emplace_back(m.column);
+  TextTable table(std::move(header));
+  for (const CellSummary& cell : cells) {
+    std::vector<std::string> row{cell.name, TextTable::num(cell.nOk),
+                                 TextTable::num(cell.nFailed)};
+    for (std::size_t i = 0; i < std::size(kCellMetrics); ++i) {
+      const CellMetric& m = kCellMetrics[i];
+      const bool perf = m.use == Use::kPerf;
+      if (perf && !anyPerf) continue;
+      const bool shown = cell.nOk > 0 && (!perf || cell.perfCaptured);
+      row.push_back(shown ? TextTable::num(cell.metrics[i].mean, m.precision)
+                          : "-");
+    }
+    table.addRow(std::move(row));
+  }
+  return table.str();
+}
+
 std::string renderArtifact(const CampaignSpec& spec,
                            const std::vector<PlannedRun>& plan,
                            const std::map<std::string, RunRecord>& records) {
-  // Group by cell in plan (first-occurrence) order.
-  std::vector<Cell> cells;
-  std::map<std::string, std::size_t> cellIndex;
+  const std::vector<CellSummary> cells = summarizeCells(plan, records);
+  std::size_t failedTotal = 0;
+  for (const CellSummary& cell : cells) failedTotal += cell.nFailed;
+
   // (context without the compare axis, compare label, seedIndex) -> record
   std::map<std::tuple<std::string, std::string, std::uint32_t>,
            const RunRecord*>
       byPair;
   std::vector<std::string> contexts;  // first-occurrence order
   const int compareAxis = compareAxisIndex(spec);
-
-  std::size_t failedTotal = 0;
-  for (const PlannedRun& run : plan) {
-    const auto it = records.find(run.id);
-    WMSN_REQUIRE_MSG(it != records.end(),
-                     "campaign artifact is missing run: " + run.id);
-    const RunRecord& rec = it->second;
-    if (!rec.ok()) ++failedTotal;
-
-    auto [ci, inserted] = cellIndex.emplace(run.cell, cells.size());
-    if (inserted) {
-      cells.push_back(Cell{run.cell, run.axisLabels, {}, 0});
-    }
-    Cell& cell = cells[ci->second];
-    if (rec.ok())
-      cell.ok.push_back(&rec);
-    else
-      ++cell.failed;
-
-    if (compareAxis >= 0) {
+  if (compareAxis >= 0) {
+    for (const PlannedRun& run : plan) {
       std::string context;
       for (std::size_t a = 0; a < run.axisLabels.size(); ++a) {
         if (static_cast<int>(a) == compareAxis) continue;
@@ -159,7 +225,8 @@ std::string renderArtifact(const CampaignSpec& spec,
       if (std::find(contexts.begin(), contexts.end(), context) ==
           contexts.end())
         contexts.push_back(context);
-      byPair.emplace(std::make_tuple(context, cmpLabel, run.seedIndex), &rec);
+      byPair.emplace(std::make_tuple(context, cmpLabel, run.seedIndex),
+                     &records.at(run.id));
     }
   }
 
@@ -194,7 +261,7 @@ std::string renderArtifact(const CampaignSpec& spec,
 
   os << "  \"cells\": [\n";
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    const Cell& cell = cells[c];
+    const CellSummary& cell = cells[c];
     os << "      {\"cell\": \"" << jsonEscape(cell.name) << "\", \"labels\": {";
     for (std::size_t a = 0; a < spec.axes.size() && a < cell.labels.size();
          ++a) {
@@ -202,17 +269,15 @@ std::string renderArtifact(const CampaignSpec& spec,
       os << "\"" << jsonEscape(spec.axes[a].key) << "\": \""
          << jsonEscape(cell.labels[a]) << "\"";
     }
-    os << "}, \"n_ok\": " << cell.ok.size()
-       << ", \"n_failed\": " << cell.failed << ",\n       \"metrics\": {";
+    os << "}, \"n_ok\": " << cell.nOk << ", \"n_failed\": " << cell.nFailed
+       << ",\n       \"metrics\": {";
     bool firstMetric = true;
-    for (const MetricAccessor& m : kCellMetrics) {
-      std::vector<double> samples;
-      samples.reserve(cell.ok.size());
-      for (const RunRecord* r : cell.ok) samples.push_back(m.get(*r));
+    for (std::size_t i = 0; i < std::size(kCellMetrics); ++i) {
+      if (kCellMetrics[i].use == Use::kPerf) continue;
       if (!firstMetric) os << ", ";
       firstMetric = false;
-      os << "\n        \"" << m.name << "\": ";
-      appendAggregate(os, aggregate(samples));
+      os << "\n        \"" << kCellMetrics[i].name << "\": ";
+      appendAggregate(os, cell.metrics[i]);
     }
     os << "}}";
     os << (c + 1 < cells.size() ? ",\n" : "\n");
@@ -247,7 +312,8 @@ std::string renderArtifact(const CampaignSpec& spec,
              << jsonEscape(la) << "\", \"b\": \"" << jsonEscape(lb)
              << "\", \"pairs\": " << pairs.size() << ",\n       \"metrics\": {";
           bool firstMetric = true;
-          for (const MetricAccessor& m : kDeltaMetrics) {
+          for (const CellMetric& m : kCellMetrics) {
+            if (m.use != Use::kDelta) continue;
             std::size_t pos = 0;
             std::size_t neg = 0;
             std::size_t ties = 0;

@@ -135,6 +135,10 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
                      "failed writing campaign artifact: " + opts.outPath);
   }
 
+  if (!opts.quiet)
+    std::printf("\nper-cell means over ok runs:\n%s",
+                renderCellTable(summarizeCells(plan, records)).c_str());
+
   if (!opts.metricsOutPath.empty()) {
     // Seed-order-deterministic merge: iterate the plan (axes outer, seeds
     // innermost), not completion order, so the merged registry is

@@ -20,7 +20,7 @@ struct CampaignOptions {
   /// many fresh runs, journal them, then stop WITHOUT writing the artifact.
   /// 0 = run to completion.
   std::size_t stopAfter = 0;
-  bool quiet = false;
+  bool quiet = false;  ///< no progress lines, no per-cell table
   /// When non-empty, every worker arms the crash flight recorder: a run
   /// that dies (invariant failure, fatal signal, injected crash) dumps the
   /// last in-memory spans to "<dir>/flight-<runId>.jsonl" post-mortem.
@@ -39,7 +39,8 @@ struct CampaignOutcome {
 /// Expands the spec, executes every not-yet-journaled run across the fork
 /// pool, journals each completion, and (unless stopped early) renders the
 /// deterministic artifact to opts.outPath — plus, when requested, the
-/// seed-order MetricsRegistry merge to opts.metricsOutPath.
+/// seed-order MetricsRegistry merge to opts.metricsOutPath. A finished
+/// campaign also prints the per-cell table to stdout unless opts.quiet.
 ///
 /// Worker crashes are contained: the crashed run is recorded as failed and
 /// the campaign completes. Everything written to outPath/metricsOutPath is

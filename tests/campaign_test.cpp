@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "campaign/artifact.hpp"
 #include "campaign/journal.hpp"
@@ -21,6 +22,7 @@
 #include "obs/trace_analyze.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -455,6 +457,89 @@ TEST(CampaignArtifact, FailedRunsExcludedFromAggregatesButCounted) {
   const std::string json = campaign::renderArtifact(spec, plan, records);
   EXPECT_NE(json.find("\"runs_failed\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"n_ok\": 1, \"n_failed\": 1"), std::string::npos);
+}
+
+/// The rows (header first) of a rendered TextTable, split into cells.
+std::vector<std::vector<std::string>> tableRows(const std::string& table) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(table);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] != '|') continue;
+    rows.emplace_back();
+    std::istringstream parts(line.substr(1));
+    for (std::string cell; std::getline(parts, cell, '|');)
+      rows.back().push_back(cell.substr(1, cell.find_last_not_of(' ')));
+  }
+  return rows;
+}
+
+std::size_t columnOf(const std::vector<std::string>& header,
+                     const std::string& name) {
+  return static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), name) - header.begin());
+}
+
+TEST(CampaignArtifact, CellTableIsAViewOfTheArtifactCells) {
+  // Two cells in plan order spr, mlr (not alphabetical); spr/s2 failed.
+  const auto spec = campaign::parseSpec(
+      "name = table\nseed = 1\nrepeats = 2\n[sweep]\nprotocol = spr, mlr\n");
+  const auto plan = campaign::expand(spec);
+  ASSERT_EQ(plan.size(), 4u);
+  const double pdrs[] = {0.91234, 0.0, 0.5, 0.8};
+  std::map<std::string, RunRecord> records;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    RunRecord r = campaign::makeFailedRecord(plan[i].id, plan[i].cell,
+                                             plan[i].seed, plan[i].seedIndex,
+                                             "died");
+    if (i != 1) {
+      r.status = RunRecord::Status::kOk;
+      r.pdr = pdrs[i];
+    }
+    records.emplace(r.id, r);
+  }
+  const auto table = [&] {
+    return tableRows(
+        campaign::renderCellTable(campaign::summarizeCells(plan, records)));
+  };
+
+  const auto rows = table();
+  ASSERT_EQ(rows.size(), 3u);  // header + one row per cell
+  const auto& header = rows[0];
+  EXPECT_EQ(rows[1][0], "spr");
+  EXPECT_EQ(rows[2][0], "mlr");
+  EXPECT_EQ(rows[1][columnOf(header, "ok")], "1");
+  EXPECT_EQ(rows[1][columnOf(header, "failed")], "1");
+  EXPECT_EQ(rows[2][columnOf(header, "failed")], "0");
+  EXPECT_EQ(columnOf(header, "frames tx"), header.size());  // no perf run
+
+  // Each PDR cell is the artifact's cells[].metrics.pdr.mean at 3 places.
+  const std::string json = campaign::renderArtifact(spec, plan, records);
+  const std::size_t pdrAt = columnOf(header, "PDR");
+  for (std::size_t row = 1; row < rows.size(); ++row) {
+    const std::size_t cellAt = json.find(
+        "{\"cell\": \"" + rows[row][0] + "\"", json.find("\"cells\""));
+    ASSERT_NE(cellAt, std::string::npos);
+    const std::size_t meanAt =
+        json.find("\"mean\": ", json.find("\"pdr\": {", cellAt)) + 8;
+    EXPECT_EQ(rows[row][pdrAt],
+              TextTable::num(std::stod(json.substr(meanAt)), 3));
+  }
+  EXPECT_EQ(rows[1][pdrAt], "0.912");
+  EXPECT_EQ(rows[2][pdrAt], "0.650");
+
+  // Perf columns appear once a cell captured perf; the other reads "-".
+  for (std::size_t i = 2; i < plan.size(); ++i) {
+    records.at(plan[i].id).perfCaptured = true;
+    records.at(plan[i].id).perfFramesTransmitted = 1000 + 234 * (i - 2);
+  }
+  const auto perfRows = table();
+  const std::size_t framesAt = columnOf(perfRows[0], "frames tx");
+  ASSERT_LT(framesAt, perfRows[0].size());
+  EXPECT_EQ(perfRows[1][framesAt], "-");
+  EXPECT_EQ(perfRows[2][framesAt], "1117");
+  EXPECT_EQ(campaign::renderArtifact(spec, plan, records)
+                .find("\"perf_frames_transmitted\": {"),
+            std::string::npos);  // the artifact never aggregates perf
 }
 
 // --- fork pool -------------------------------------------------------------

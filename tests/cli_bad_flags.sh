@@ -2,11 +2,14 @@
 # A bad numeric flag value must exit 2 with a one-line message: never abort
 # on an uncaught exception, never wrap "-1" into a huge unsigned value.
 #
-# usage: cli_bad_flags.sh <wmsn_cli> <wmsn_campaign> <repo-root>
+# usage: cli_bad_flags.sh <wmsn_cli> <wmsn_campaign> <repo-root> \
+#                         <bench binary> <bench_obs_overhead>
 set -u
 cli="$1"
 campaign="$2"
 spec="$3/campaigns/smoke.spec"
+bench="$4"
+obs_bench="$5"
 status=0
 
 expect_exit2() {  # command...
@@ -29,7 +32,9 @@ for v in abc -1; do
   expect_exit2 "$cli" --seed "$v"
   expect_exit2 "$campaign" "$spec" --workers "$v"
   expect_exit2 "$campaign" "$spec" --stop-after "$v"
+  expect_exit2 "$bench" --threads "$v"
 done
+expect_exit2 "$obs_bench" --reps abc
 expect_exit2 "$cli" --area abc
 expect_exit2 "$cli" --rate 1.5x
 exit "$status"
