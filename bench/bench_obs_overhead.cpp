@@ -10,7 +10,9 @@
 // --check enforces the observability budget and exits non-zero when it is
 // blown: the null trace sink must stay within 2% of bare, and sampled span
 // tracing (10% of readings retained) within 5%. The budget is evaluated on
-// the min-of-reps numbers — the least-perturbed samples.
+// the min-of-reps numbers — the least-perturbed samples. Reps run
+// round-robin (bare, then every variant, then the next rep), so bare and
+// each variant see the same host drift.
 
 #include <chrono>
 #include <functional>
@@ -43,23 +45,18 @@ struct Variant {
   bool trace = false;
 };
 
-/// Wall seconds for one build+run, timing only the run itself. Returns the
-/// best (minimum) of `reps` attempts — the least-perturbed sample.
-double timeVariant(const Variant& v, unsigned reps, std::uint64_t& events) {
-  double best = 1e18;
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    auto scenario = core::buildScenario(v.config());
-    core::TraceLogger trace(v.traceFormat);
-    if (v.trace) trace.attach(*scenario);
-    core::Experiment experiment(*scenario);
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = experiment.run();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    best = std::min(best, elapsed.count());
-    events = v.trace ? trace.rows() : result.eventsProcessed;
-  }
-  return best;
+/// Wall seconds for one build+run, timing only the run itself.
+double timeVariant(const Variant& v, std::uint64_t& events) {
+  auto scenario = core::buildScenario(v.config());
+  core::TraceLogger trace(v.traceFormat);
+  if (v.trace) trace.attach(*scenario);
+  core::Experiment experiment(*scenario);
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = experiment.run();
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  events = v.trace ? trace.rows() : result.eventsProcessed;
+  return elapsed.count();
 }
 
 }  // namespace
@@ -131,25 +128,32 @@ int main(int argc, char** argv) {
   // land on the bare baseline.
   {
     std::uint64_t ignore = 0;
-    timeVariant(variants.front(), 1, ignore);
+    timeVariant(variants.front(), ignore);
   }
 
-  double baseline = 0.0;
+  // Round-robin schedule: every rep runs bare, then each variant, so bare
+  // and every variant sample the same stretch of host drift. Each variant
+  // keeps its best (minimum) rep — the least-perturbed sample.
+  std::vector<double> best(variants.size(), 1e18);
+  std::vector<std::uint64_t> events(variants.size(), 0);
+  for (unsigned rep = 0; rep < reps; ++rep)
+    for (std::size_t k = 0; k < variants.size(); ++k)
+      best[k] = std::min(best[k], timeVariant(variants[k], events[k]));
+
+  const double baseline = best.front();  // variants.front() is bare
   TextTable table({"variant", "events", "best ms", "overhead %"});
   CsvWriter csv({"variant", "events", "best_ms", "overhead_pct"});
   std::vector<std::pair<std::string, double>> overheads;
-  for (const Variant& v : variants) {
-    std::uint64_t events = 0;
-    const double seconds = timeVariant(v, reps, events);
-    if (v.name == "bare") baseline = seconds;
+  for (std::size_t k = 0; k < variants.size(); ++k) {
+    const std::string& name = variants[k].name;
     const double overheadPct =
-        baseline > 0.0 ? (seconds / baseline - 1.0) * 100.0 : 0.0;
-    overheads.emplace_back(v.name, overheadPct);
-    table.addRow({v.name, TextTable::num(events),
-                  TextTable::num(seconds * 1e3, 2),
+        baseline > 0.0 ? (best[k] / baseline - 1.0) * 100.0 : 0.0;
+    overheads.emplace_back(name, overheadPct);
+    table.addRow({name, TextTable::num(events[k]),
+                  TextTable::num(best[k] * 1e3, 2),
                   TextTable::num(overheadPct, 1)});
-    csv.addRow({v.name, TextTable::num(events),
-                TextTable::num(seconds * 1e3, 3),
+    csv.addRow({name, TextTable::num(events[k]),
+                TextTable::num(best[k] * 1e3, 3),
                 TextTable::num(overheadPct, 2)});
   }
 

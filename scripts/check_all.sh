@@ -16,8 +16,10 @@
 #   docs         scripts/check_docs.sh CLI-flag/documentation drift
 #   campaign     scripts/check_campaign.sh kill/resume/crash-containment
 #   perf         scripts/check_perf.sh perf-counter zero-perturbation
-#                (byte-identical stdout/metrics with counters armed) and
-#                the BENCH_kernel.json 1k rounds/sec smoke
+#                (byte-identical stdout/metrics with counters armed), the
+#                1k golden, the 4k pairs budget, exact re-derivation of
+#                BENCH_kernel.json's deterministic columns at 4k and 16k,
+#                and the BENCH_kernel.json 1k rounds/sec smoke
 #   obs-budget   bench_obs_overhead --check observability overhead budget
 #                (null trace sink <= 2%, sampled span tracing <= 5%,
 #                perf counters off <= 2% / on <= 5%)

@@ -15,13 +15,17 @@
 #      The metrics half is a later capture on the grid kernel, taken with
 #      this step's own command once that stdout still matched; it pins the
 #      registry against drift from here on.
-#   3. pairs budget — at the 4k curve point, pairs_examined (grid
-#      candidates) must stay within an O(n·k) budget: at most
-#      WMSN_PERF_PAIRS_BUDGET_PER_FRAME (default 200) candidates per
-#      transmitted frame. The pre-grid kernel examined ~4000 per frame
+#   3. pairs budget and scale re-derivation — at the 4k curve point,
+#      pairs_examined (grid candidates) must stay within an O(n·k) budget:
+#      at most WMSN_PERF_PAIRS_BUDGET_PER_FRAME (default 200) candidates
+#      per transmitted frame. The pre-grid kernel examined ~4000 per frame
 #      (one per node); the grid examines ~19. A regression back toward
 #      all-pairs scanning trips this long before it trips a wall-clock
-#      gate.
+#      gate. The same 4k run and a 16k run then re-derive the
+#      machine-independent columns of BENCH_kernel.json (frames_transmitted,
+#      pairs_examined, rng_draws, generated, delivered); any difference
+#      fails, so a kernel change that misbehaves only with more grid cells
+#      or larger coordinates cannot slip past the 1k golden.
 #   4. throughput smoke  — the 1k point of the committed kernel-scaling
 #      baseline (BENCH_kernel.json, campaigns/kernel_scale.spec) must be
 #      reproducible: best-of-3 rounds/sec within a tolerance of the
@@ -106,15 +110,21 @@ if ! cmp -s "$srcdir/tests/golden/kernel_1k/metrics.json" \
 fi
 echo "check_perf: 1k golden ok (stdout + metrics byte-identical)"
 
-# --- 3. pairs budget at the 4k curve point ---------------------------------
+# --- 3. pairs budget at 4k; deterministic columns at 4k and 16k -----------
+# The [variant 4k] and [variant 16k] scenarios of campaigns/kernel_scale.spec.
 kernel4k=(--protocol mlr --deployment grid --sensors 4000 --gateways 2
           --places 4 --area 1270 --rounds 2 --static --workload poisson
           --rate 0.0175 --seed 31)
-mkdir "$work/pairs"
-(cd "$work/pairs" && "$cli" "${kernel4k[@]}" --perf-out perf.json) \
-    >/dev/null
+kernel16k=(--protocol mlr --deployment grid --sensors 16000 --gateways 2
+           --places 4 --area 2530 --rounds 2 --static --workload poisson
+           --rate 0.0044 --seed 31)
+mkdir "$work/4k" "$work/16k"
+(cd "$work/4k" && "$cli" "${kernel4k[@]}" --perf-out perf.json \
+     --metrics-out metrics.json) >/dev/null
+(cd "$work/16k" && "$cli" "${kernel16k[@]}" --perf-out perf.json \
+     --metrics-out metrics.json) >/dev/null
 budget="${WMSN_PERF_PAIRS_BUDGET_PER_FRAME:-200}"
-python3 - "$work/pairs/perf.json" "$budget" <<'EOF' || exit 1
+python3 - "$work/4k/perf.json" "$budget" <<'EOF' || exit 1
 import json, sys
 doc = json.load(open(sys.argv[1]))
 budget = float(sys.argv[2])
@@ -126,6 +136,28 @@ ok = per_frame <= budget
 print(f"check_perf: 4k pairs budget {per_frame:.1f} candidates/frame "
       f"(budget {budget:g}; all-pairs would be ~4000) "
       f"{'ok' if ok else 'EXCEEDED'}")
+sys.exit(0 if ok else 1)
+EOF
+python3 - "$srcdir/BENCH_kernel.json" "$work" <<'EOF' || exit 1
+import json, sys
+runs = {r["cell"]: r for r in json.load(open(sys.argv[1]))["runs"]}
+ok = True
+for cell in ("4k", "16k"):
+    counters = json.load(open(f"{sys.argv[2]}/{cell}/perf.json"))["counters"]
+    metrics = {m["name"]: m.get("value") for m in
+               json.load(open(f"{sys.argv[2]}/{cell}/metrics.json"))["metrics"]}
+    fresh = {"frames_transmitted": counters["frames_transmitted"],
+             "pairs_examined": counters["pairs_examined"],
+             "rng_draws": counters["rng_draws"],
+             "generated": metrics["wmsn_readings_generated_total"],
+             "delivered": metrics["wmsn_readings_delivered_total"]}
+    run = runs[cell]
+    committed = {col: run.get("perf_" + col, run.get(col)) for col in fresh}
+    drift = {col: (committed[col], fresh[col]) for col in fresh
+             if committed[col] != fresh[col]}
+    print(f"check_perf: {cell} deterministic columns vs BENCH_kernel.json "
+          + ("ok" if not drift else f"DRIFTED (committed, fresh): {drift}"))
+    ok = ok and not drift
 sys.exit(0 if ok else 1)
 EOF
 

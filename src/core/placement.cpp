@@ -1,7 +1,6 @@
 #include "core/placement.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "util/require.hpp"
@@ -11,29 +10,13 @@ namespace wmsn::core {
 std::vector<std::uint32_t> hopField(const std::vector<net::Point>& sensors,
                                     const net::Point& place,
                                     double radioRange) {
-  const double r2 = radioRange * radioRange;
-  std::vector<std::uint32_t> dist(sensors.size(), kUnreachableHops);
-  std::deque<std::size_t> frontier;
-  // Seed: sensors in direct range of the place are 1 hop from a gateway
-  // parked there.
-  for (std::size_t i = 0; i < sensors.size(); ++i) {
-    if (net::distanceSq(sensors[i], place) <= r2) {
-      dist[i] = 1;
-      frontier.push_back(i);
-    }
-  }
-  while (!frontier.empty()) {
-    const std::size_t cur = frontier.front();
-    frontier.pop_front();
-    for (std::size_t j = 0; j < sensors.size(); ++j) {
-      if (dist[j] != kUnreachableHops) continue;
-      if (net::distanceSq(sensors[cur], sensors[j]) <= r2) {
-        dist[j] = dist[cur] + 1;
-        frontier.push_back(j);
-      }
-    }
-  }
-  return dist;
+  // The place joins the graph as the only seed and is dropped from the
+  // result: sensors in its range are 1 hop out, and it never relays.
+  std::vector<net::Point> points(sensors);
+  points.push_back(place);
+  auto hops = net::hopCounts(points, radioRange, {sensors.size()});
+  hops.pop_back();
+  return hops;
 }
 
 namespace {
@@ -44,7 +27,7 @@ double costOfMinField(const std::vector<std::uint32_t>& minField) {
   constexpr double kPenalty = 1e6;
   double cost = 0.0;
   for (std::uint32_t h : minField)
-    cost += (h == kUnreachableHops) ? kPenalty : static_cast<double>(h);
+    cost += (h == net::kUnreachableHops) ? kPenalty : static_cast<double>(h);
   return cost;
 }
 
@@ -63,7 +46,7 @@ std::vector<std::size_t> planGatewayPlaces(
     fields.push_back(hopField(sensors, p, radioRange));
 
   std::vector<std::size_t> chosen;
-  std::vector<std::uint32_t> minField(sensors.size(), kUnreachableHops);
+  std::vector<std::uint32_t> minField(sensors.size(), net::kUnreachableHops);
 
   for (std::size_t pick = 0; pick < m; ++pick) {
     double bestCost = std::numeric_limits<double>::max();
@@ -92,7 +75,7 @@ double totalHopCost(const std::vector<net::Point>& sensors,
                     const std::vector<net::Point>& places,
                     const std::vector<std::size_t>& selection,
                     double radioRange) {
-  std::vector<std::uint32_t> minField(sensors.size(), kUnreachableHops);
+  std::vector<std::uint32_t> minField(sensors.size(), net::kUnreachableHops);
   for (std::size_t p : selection) {
     WMSN_REQUIRE(p < places.size());
     const auto field = hopField(sensors, places[p], radioRange);

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/geometry.hpp"
+#include "net/deployment.hpp"
 
 namespace wmsn::core {
 
@@ -21,8 +21,7 @@ namespace wmsn::core {
 
 /// Hop distance from every sensor to a prospective gateway at `place`,
 /// computed by BFS over the sensor-only connectivity graph (gateways are
-/// sinks, not relays). Unreachable sensors get kUnreachableHops.
-inline constexpr std::uint32_t kUnreachableHops = 0xffffffffu;
+/// sinks, not relays). Unreachable sensors get net::kUnreachableHops.
 std::vector<std::uint32_t> hopField(const std::vector<net::Point>& sensors,
                                     const net::Point& place,
                                     double radioRange);
@@ -34,7 +33,7 @@ std::vector<std::size_t> planGatewayPlaces(
     const std::vector<net::Point>& places, std::size_t m, double radioRange);
 
 /// Total hop cost Σ_sensors min-hop for a given selection (the objective
-/// the planner minimises); kUnreachableHops-capped terms count as a large
+/// the planner minimises); net::kUnreachableHops terms count as a large
 /// penalty so disconnected selections always lose.
 double totalHopCost(const std::vector<net::Point>& sensors,
                     const std::vector<net::Point>& places,

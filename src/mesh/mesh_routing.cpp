@@ -16,7 +16,7 @@ void MeshRoutingTable::bfsFrom(const std::vector<MeshNodeId>& sources,
                                std::vector<std::uint32_t>& dist,
                                std::vector<MeshNodeId>& next) const {
   const std::size_t n = topology_.nodes.size();
-  dist.assign(n, kUnreachable);
+  dist.assign(n, net::kUnreachableHops);
   next.assign(n, kNoMeshNode);
   std::deque<MeshNodeId> frontier;
   for (MeshNodeId s : sources) {
@@ -30,7 +30,7 @@ void MeshRoutingTable::bfsFrom(const std::vector<MeshNodeId>& sources,
     const MeshNodeId cur = frontier.front();
     frontier.pop_front();
     for (MeshNodeId v = 0; v < n; ++v) {
-      if (!alive[v] || dist[v] != kUnreachable) continue;
+      if (!alive[v] || dist[v] != net::kUnreachableHops) continue;
       if (!topology_.linked(cur, v)) continue;
       dist[v] = dist[cur] + 1;
       next[v] = cur;

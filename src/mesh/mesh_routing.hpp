@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "mesh/mesh_topology.hpp"
+#include "net/deployment.hpp"
 
 namespace wmsn::mesh {
 
@@ -23,14 +24,12 @@ class MeshRoutingTable {
   MeshNodeId nextHopToBase(MeshNodeId from) const;
 
   /// Hop count from `from` to its nearest base station (0 for a base
-  /// station itself), or kUnreachable.
+  /// station itself), or net::kUnreachableHops.
   std::uint32_t hopsToBase(MeshNodeId from) const;
 
   /// Next hop from `from` toward arbitrary node `to` (downstream commands,
   /// base → WMG). kNoMeshNode if unreachable.
   MeshNodeId nextHopToward(MeshNodeId from, MeshNodeId to) const;
-
-  static constexpr std::uint32_t kUnreachable = 0xffffffffu;
 
  private:
   void bfsFrom(const std::vector<MeshNodeId>& sources,

@@ -1,8 +1,8 @@
 #include "mesh/mesh_topology.hpp"
 
 #include <cmath>
-#include <deque>
 
+#include "net/deployment.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::mesh {
@@ -34,21 +34,15 @@ bool MeshTopology::connected() const {
   if (nodes.empty()) return true;
   const auto bases = idsOf(MeshNodeKind::kBaseStation);
   if (bases.empty()) return false;
-  std::vector<bool> reached(nodes.size(), false);
-  std::deque<MeshNodeId> frontier(bases.begin(), bases.end());
-  for (MeshNodeId b : bases) reached[b] = true;
-  while (!frontier.empty()) {
-    const MeshNodeId cur = frontier.front();
-    frontier.pop_front();
-    for (MeshNodeId i = 0; i < nodes.size(); ++i) {
-      if (!reached[i] && linked(cur, i)) {
-        reached[i] = true;
-        frontier.push_back(i);
-      }
-    }
-  }
+  std::vector<net::Point> points;
+  points.reserve(nodes.size());
+  for (const MeshNodeSpec& n : nodes) points.push_back(n.position);
+  const auto hops = net::hopCounts(
+      points, linkRange, std::vector<std::size_t>(bases.begin(), bases.end()));
   for (MeshNodeId i = 0; i < nodes.size(); ++i)
-    if (nodes[i].kind == MeshNodeKind::kWmg && !reached[i]) return false;
+    if (nodes[i].kind == MeshNodeKind::kWmg &&
+        hops[i] == net::kUnreachableHops)
+      return false;
   return true;
 }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <functional>
+#include <limits>
+#include <numeric>
 
+#include "sim/spatial_grid.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::net {
@@ -54,58 +56,62 @@ Deployment generateConnected(const DeploymentParams& params, Rng& rng,
 
 }  // namespace
 
-bool isConnected(const Deployment& deployment, double radioRange) {
-  const std::size_t s = deployment.sensors.size();
-  const std::size_t total = s + deployment.gateways.size();
-  if (s == 0) return true;
-  if (deployment.gateways.empty()) return false;
-
-  auto positionAt = [&](std::size_t i) -> const Point& {
-    return i < s ? deployment.sensors[i] : deployment.gateways[i - s];
-  };
-
-  const double r2 = radioRange * radioRange;
-  std::vector<bool> reached(total, false);
-  std::deque<std::size_t> frontier;
-  for (std::size_t g = s; g < total; ++g) {
-    reached[g] = true;
-    frontier.push_back(g);
+std::vector<std::uint32_t> hopCounts(const std::vector<Point>& points,
+                                     double range,
+                                     const std::vector<std::size_t>& seeds) {
+  WMSN_REQUIRE_MSG(range >= 0.0, "hop range must be non-negative");
+  std::vector<std::uint32_t> hops(points.size(), kUnreachableHops);
+  std::vector<std::uint32_t> frontier;
+  for (const std::size_t s : seeds) {
+    WMSN_REQUIRE(s < points.size());
+    hops[s] = 0;
+    frontier.push_back(static_cast<std::uint32_t>(s));
   }
-  while (!frontier.empty()) {
-    const std::size_t cur = frontier.front();
-    frontier.pop_front();
-    for (std::size_t i = 0; i < total; ++i) {
-      if (reached[i]) continue;
-      if (distanceSq(positionAt(cur), positionAt(i)) <= r2) {
-        reached[i] = true;
-        frontier.push_back(i);
+
+  double extent = 0.0;
+  for (const Point& p : points)
+    extent = std::max({extent, std::abs(p.x), std::abs(p.y)});
+  // The query reaches a hair past `range` so rounding in the cell arithmetic
+  // can never drop a pair the exact predicate below links. Cells are at
+  // least that wide, and widened until every cell coordinate fits the
+  // grid's key; wider cells only add candidates (superset semantics).
+  const double reach = range + (range + extent) * 1e-12;
+  sim::SpatialGrid grid(std::max(
+      {reach, extent * 0x1p-28, std::numeric_limits<double>::min()}));
+  for (std::size_t i = 0; i < points.size(); ++i)
+    grid.insert(static_cast<std::uint32_t>(i), points[i].x, points[i].y);
+
+  const double r2 = range * range;
+  std::vector<std::uint32_t> candidates;
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const std::uint32_t cur = frontier[head];
+    grid.query(points[cur].x, points[cur].y, reach, candidates);
+    for (const std::uint32_t c : candidates) {
+      if (hops[c] == kUnreachableHops &&
+          distanceSq(points[cur], points[c]) <= r2) {
+        hops[c] = hops[cur] + 1;
+        frontier.push_back(c);
       }
     }
   }
-  return std::all_of(reached.begin(), reached.begin() + static_cast<long>(s),
-                     [](bool b) { return b; });
+  return hops;
+}
+
+bool isConnected(const Deployment& deployment, double radioRange) {
+  const std::size_t s = deployment.sensors.size();
+  std::vector<Point> points(deployment.sensors);
+  points.insert(points.end(), deployment.gateways.begin(),
+                deployment.gateways.end());
+  std::vector<std::size_t> seeds(deployment.gateways.size());
+  std::iota(seeds.begin(), seeds.end(), s);
+  const auto hops = hopCounts(points, radioRange, seeds);
+  return std::count(hops.begin(), hops.begin() + s, kUnreachableHops) == 0;
 }
 
 bool sensorsConnected(const std::vector<Point>& sensors, double radioRange) {
-  if (sensors.size() <= 1) return true;
-  const double r2 = radioRange * radioRange;
-  std::vector<bool> reached(sensors.size(), false);
-  std::deque<std::size_t> frontier{0};
-  reached[0] = true;
-  std::size_t count = 1;
-  while (!frontier.empty()) {
-    const std::size_t cur = frontier.front();
-    frontier.pop_front();
-    for (std::size_t i = 0; i < sensors.size(); ++i) {
-      if (reached[i]) continue;
-      if (distanceSq(sensors[cur], sensors[i]) <= r2) {
-        reached[i] = true;
-        ++count;
-        frontier.push_back(i);
-      }
-    }
-  }
-  return count == sensors.size();
+  if (sensors.empty()) return true;
+  const auto hops = hopCounts(sensors, radioRange, {0});
+  return std::count(hops.begin(), hops.end(), kUnreachableHops) == 0;
 }
 
 bool placesAttached(const std::vector<Point>& places,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "net/geometry.hpp"
@@ -43,6 +44,19 @@ Deployment clusteredDeployment(const DeploymentParams& params,
 /// grid of `count` positions covering the area.
 std::vector<Point> feasiblePlaces(const DeploymentParams& params,
                                   std::size_t count, Rng& rng);
+
+/// Hop count of a point no seed can reach (see hopCounts).
+inline constexpr std::uint32_t kUnreachableHops = 0xffffffffu;
+
+/// Multi-source BFS over the unit-disk graph on `points`: an edge joins a
+/// and b iff distanceSq(a, b) <= range * range. Returns, per point, the
+/// fewest hops from any of `seeds` (0 for a seed), or kUnreachableHops.
+/// Neighbour candidates come from a sim::SpatialGrid, so the cost is O(n·k)
+/// in the local density k, not O(n²). Every set-up connectivity question
+/// (deployment, §4.1 placement, the mesh tier) is answered here.
+std::vector<std::uint32_t> hopCounts(const std::vector<Point>& points,
+                                     double range,
+                                     const std::vector<std::size_t>& seeds);
 
 /// True if every sensor can reach at least one gateway through hops of
 /// length <= radioRange.

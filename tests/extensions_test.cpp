@@ -325,7 +325,7 @@ TEST(Placement, UnreachableSensorsFlagged) {
   const std::vector<net::Point> sensors = {{0, 0}, {500, 500}};
   const auto field = core::hopField(sensors, {10, 0}, 25.0);
   EXPECT_EQ(field[0], 1u);
-  EXPECT_EQ(field[1], core::kUnreachableHops);
+  EXPECT_EQ(field[1], net::kUnreachableHops);
 }
 
 TEST(Placement, GreedyPicksObviouslyBestPlaces) {

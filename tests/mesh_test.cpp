@@ -69,8 +69,8 @@ TEST(MeshRouting, RecomputeRoutesAroundDeadNode) {
   std::vector<bool> alive(topo.nodes.size(), true);
   alive[2] = false;  // WMR2 dies: WMG0's only 200 m neighbour
   table.recompute(alive);
-  EXPECT_EQ(table.hopsToBase(2), MeshRoutingTable::kUnreachable);
-  EXPECT_EQ(table.hopsToBase(0), MeshRoutingTable::kUnreachable);
+  EXPECT_EQ(table.hopsToBase(2), net::kUnreachableHops);
+  EXPECT_EQ(table.hopsToBase(0), net::kUnreachableHops);
   EXPECT_EQ(table.hopsToBase(3), 1u);  // unaffected branch
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "core/placement.hpp"
+#include "mesh/mesh_topology.hpp"
 #include "net/deployment.hpp"
 #include "net/mobility.hpp"
 #include "net/sensor_network.hpp"
@@ -417,6 +422,227 @@ TEST(Deployment, ImpossibleLayoutThrows) {
   p.radioRange = 10.0;
   p.maxAttempts = 3;
   EXPECT_THROW(uniformDeployment(p, rng), PreconditionError);
+}
+
+// --- hop BFS -----------------------------------------------------------------
+
+/// Brute-force reference for hopCounts: the all-pairs multi-source BFS over
+/// the unit-disk graph that the set-up predicates ran before the grid.
+std::vector<std::uint32_t> referenceHops(
+    const std::vector<Point>& points, double range,
+    const std::vector<std::size_t>& seeds) {
+  std::vector<std::uint32_t> hops(points.size(), kUnreachableHops);
+  std::vector<std::size_t> frontier;
+  for (const std::size_t s : seeds) {
+    if (hops[s] == 0) continue;
+    hops[s] = 0;
+    frontier.push_back(s);
+  }
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const std::size_t cur = frontier[head];
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (hops[i] == kUnreachableHops &&
+          distanceSq(points[cur], points[i]) <= range * range) {
+        hops[i] = hops[cur] + 1;
+        frontier.push_back(i);
+      }
+    }
+  }
+  return hops;
+}
+
+bool allReached(const std::vector<std::uint32_t>& hops, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i)
+    if (hops[i] == kUnreachableHops) return false;
+  return true;
+}
+
+struct HopLayout {
+  std::string name;
+  std::vector<Point> points;
+  std::vector<double> ranges;
+};
+
+/// Seeded uniform, regular-grid (negative coordinates, spacing exactly one
+/// of the ranges, so many pairs sit exactly `range` apart) and clustered
+/// layouts, plus a tiny range over a 10 km square.
+std::vector<HopLayout> hopLayouts() {
+  std::vector<HopLayout> out;
+  Rng rng(17);
+  HopLayout uniform{"uniform", {}, {0.0, 12.0, 25.0, 40.0, 1000.0}};
+  for (int i = 0; i < 300; ++i)
+    uniform.points.push_back(
+        {rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)});
+  uniform.points.push_back(uniform.points[7]);  // coincident pair
+  out.push_back(uniform);
+
+  HopLayout grid{"grid", {}, {0.0, 9.99, 10.0, 14.2, 30.0}};
+  for (int i = 0; i < 20; ++i)
+    for (int j = 0; j < 15; ++j)
+      grid.points.push_back({-100.0 + 10.0 * i, -75.0 + 10.0 * j});
+  out.push_back(grid);
+
+  HopLayout clustered{"clustered", {}, {5.0, 18.0, 35.0, 90.0}};
+  const Point centres[] = {{50, 50}, {250, 60}, {60, 240}, {230, 230}};
+  for (int i = 0; i < 240; ++i) {
+    const Point& c = centres[i % 4];
+    clustered.points.push_back({rng.normal(c.x, 15.0), rng.normal(c.y, 15.0)});
+  }
+  out.push_back(clustered);
+
+  // 2^-20 apart exactly, at a coordinate where that difference is exact.
+  HopLayout wide{"wide", {}, {1e-6, 0x1p-20}};
+  for (int i = 0; i < 200; ++i)
+    wide.points.push_back({rng.uniform(0.0, 1e4), rng.uniform(0.0, 1e4)});
+  wide.points.push_back({8192.0, 8192.0});
+  wide.points.push_back({8192.0 + 0x1p-20, 8192.0});
+  out.push_back(wide);
+  return out;
+}
+
+std::vector<std::vector<std::size_t>> hopSeedSets(std::size_t n) {
+  return {{}, {0}, {0, n / 2, n - 1}, {3, 3, n - 1, 3}};
+}
+
+/// Reference greedy §4.1 planner over reference hop fields: the selection
+/// planGatewayPlaces must reproduce.
+double referenceCost(const std::vector<std::uint32_t>& field) {
+  double cost = 0.0;
+  for (const std::uint32_t h : field)
+    cost += h == kUnreachableHops ? 1e6 : static_cast<double>(h);
+  return cost;
+}
+
+std::vector<std::uint32_t> referenceMin(
+    const std::vector<std::vector<std::uint32_t>>& fields,
+    const std::vector<std::size_t>& selection, std::size_t n) {
+  std::vector<std::uint32_t> minField(n, kUnreachableHops);
+  for (const std::size_t p : selection)
+    for (std::size_t s = 0; s < n; ++s)
+      minField[s] = std::min(minField[s], fields[p][s]);
+  return minField;
+}
+
+std::vector<std::size_t> referencePlan(
+    const std::vector<std::vector<std::uint32_t>>& fields, std::size_t m,
+    std::size_t n) {
+  std::vector<std::size_t> chosen;
+  while (chosen.size() < m) {
+    double bestCost = std::numeric_limits<double>::max();
+    std::size_t best = fields.size();
+    for (std::size_t p = 0; p < fields.size(); ++p) {
+      if (std::find(chosen.begin(), chosen.end(), p) != chosen.end())
+        continue;
+      auto trial = chosen;
+      trial.push_back(p);
+      const double cost = referenceCost(referenceMin(fields, trial, n));
+      if (cost < bestCost) {
+        bestCost = cost;
+        best = p;
+      }
+    }
+    chosen.push_back(best);
+  }
+  return chosen;
+}
+
+TEST(HopCounts, MatchesBruteForceReference) {
+  for (const HopLayout& layout : hopLayouts()) {
+    for (const double range : layout.ranges) {
+      for (const auto& seeds : hopSeedSets(layout.points.size())) {
+        SCOPED_TRACE(layout.name + " range " + std::to_string(range) +
+                     " seeds " + std::to_string(seeds.size()));
+        EXPECT_EQ(hopCounts(layout.points, range, seeds),
+                  referenceHops(layout.points, range, seeds));
+      }
+    }
+  }
+}
+
+TEST(HopCounts, EdgeCases) {
+  EXPECT_TRUE(hopCounts({}, 10.0, {}).empty());
+  EXPECT_EQ(hopCounts({{1, 1}}, 10.0, {0}), (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(hopCounts({{1, 1}}, 10.0, {}),
+            (std::vector<std::uint32_t>{kUnreachableHops}));
+  // Exactly `range` apart is linked: the predicate is <=, not <.
+  EXPECT_EQ(hopCounts({{0, 0}, {30, 0}, {60, 0}}, 30.0, {0}),
+            (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(hopCounts({{0, 0}, {3, 4}}, 5.0, {1}),
+            (std::vector<std::uint32_t>{1, 0}));
+  // Coincident points link even at range 0; distinct ones do not.
+  EXPECT_EQ(hopCounts({{2, 2}, {2, 2}, {2, 3}}, 0.0, {0}),
+            (std::vector<std::uint32_t>{0, 1, kUnreachableHops}));
+  EXPECT_EQ(hopCounts({{-50, -50}, {-40, -50}, {-40, -61}}, 10.0, {0}),
+            (std::vector<std::uint32_t>{0, 1, kUnreachableHops}));
+  EXPECT_THROW(hopCounts({{0, 0}}, 10.0, {1}), PreconditionError);
+}
+
+TEST(HopCounts, SetUpPredicatesMatchReference) {
+  for (const HopLayout& layout : hopLayouts()) {
+    const auto& sensors = layout.points;
+    const std::size_t n = sensors.size();
+    std::vector<Point> places;
+    for (std::size_t k = 0; k < 6; ++k) {
+      const Point& p = sensors[(k * 53) % n];
+      places.push_back({p.x + 3.0, p.y - 2.0});
+    }
+    for (const double range : layout.ranges) {
+      SCOPED_TRACE(layout.name + " range " + std::to_string(range));
+
+      std::vector<std::vector<std::uint32_t>> fields;
+      for (const Point& place : places) {
+        auto withPlace = sensors;
+        withPlace.push_back(place);
+        auto field = referenceHops(withPlace, range, {n});
+        field.pop_back();
+        EXPECT_EQ(core::hopField(sensors, place, range), field);
+        fields.push_back(std::move(field));
+      }
+
+      double prevCost = std::numeric_limits<double>::max();
+      std::size_t knee = places.size();
+      for (std::size_t m = 1; m <= places.size(); ++m) {
+        const auto plan = referencePlan(fields, m, n);
+        EXPECT_EQ(core::planGatewayPlaces(sensors, places, m, range), plan);
+        const double cost = referenceCost(referenceMin(fields, plan, n));
+        if (knee == places.size() && m > 1 && prevCost > 0.0 &&
+            (prevCost - cost) / prevCost < 0.08)
+          knee = m - 1;
+        prevCost = cost;
+      }
+      EXPECT_EQ(core::estimateGatewayCount(sensors, places, range), knee);
+
+      auto withGateways = sensors;
+      withGateways.insert(withGateways.end(), places.begin(), places.end());
+      std::vector<std::size_t> gatewaySeeds;
+      for (std::size_t g = 0; g < places.size(); ++g)
+        gatewaySeeds.push_back(n + g);
+      const auto gatewayHops = referenceHops(withGateways, range, gatewaySeeds);
+      EXPECT_EQ(isConnected(Deployment{sensors, places, 0.0, 0.0}, range),
+                allReached(gatewayHops, n));
+      EXPECT_EQ(sensorsConnected(sensors, range),
+                allReached(referenceHops(sensors, range, {0}), n));
+
+      // Mesh tier: every 7th point a base station, every 3rd a WMG.
+      mesh::MeshTopology topo;
+      topo.linkRange = range;
+      std::vector<std::size_t> bases;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto kind = i % 7 == 0   ? mesh::MeshNodeKind::kBaseStation
+                          : i % 3 == 0 ? mesh::MeshNodeKind::kWmg
+                                       : mesh::MeshNodeKind::kWmr;
+        if (kind == mesh::MeshNodeKind::kBaseStation) bases.push_back(i);
+        topo.nodes.push_back({sensors[i], kind});
+      }
+      const auto meshHops = referenceHops(sensors, range, bases);
+      bool wmgsReached = true;
+      for (std::size_t i = 0; i < n; ++i)
+        if (topo.nodes[i].kind == mesh::MeshNodeKind::kWmg &&
+            meshHops[i] == kUnreachableHops)
+          wmgsReached = false;
+      EXPECT_EQ(topo.connected(), wmgsReached);
+    }
+  }
 }
 
 // --- mobility -----------------------------------------------------------------

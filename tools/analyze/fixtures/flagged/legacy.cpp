@@ -19,6 +19,20 @@ inline bool near(Radio& r) {
   return r.linked(0, 1);  // expect: rangescan-discipline
 }
 
+struct Point {
+  double x, y;
+};
+double distanceSq(const Point& a, const Point& b);
+
+inline bool inRange(const Point& a, const Point& b, double r) {
+  return distanceSq(a, b) <= r * r;  // expect: rangescan-discipline
+}
+
+inline bool inRangeSplit(const Point& a, const Point& b, double r2) {
+  return distanceSq(Point{a.x, a.y},  // expect: rangescan-discipline
+                    b) < r2;
+}
+
 struct Hub {
   std::function<void(int)> frameObserver_;  // expect: observer-contract
 };

@@ -533,6 +533,21 @@ def check_process_discipline(f, ctx, emit):
 
 _RANGESCAN_EXEMPT = re.compile(r"^(src/(sim|net|mesh)/|tests/|bench/)")
 _RANGESCAN_CALL = re.compile(r"[.>]\s*linked\s*\(")
+_RANGESCAN_DIST = re.compile(r"\bdistanceSq\s*\(")
+_RANGESCAN_BELOW = re.compile(r"\s*<(?!<)")  # `<=` or `<`, not `<<`
+
+
+def distance_range_tests(f):
+    """Lines where a `distanceSq(...)` call, balanced across lines, is
+    compared with `<=` / `<` — a hand-rolled unit-disk range test."""
+    text = "\n".join(f.code_lines)
+    for m in _RANGESCAN_DIST.finditer(text):
+        depth, i = 1, m.end()
+        while i < len(text) and depth:
+            depth += {"(": 1, ")": -1}.get(text[i], 0)
+            i += 1
+        if _RANGESCAN_BELOW.match(text, i):
+            yield text.count("\n", 0, m.start()) + 1
 
 
 def check_rangescan_discipline(f, ctx, emit):
@@ -545,6 +560,12 @@ def check_rangescan_discipline(f, ctx, emit):
                 "direct linked() range test re-grows the O(n²) all-pairs "
                 "scan; query SensorNetwork::neighborsOf or the spatial "
                 "grid (docs/KERNEL.md)"))
+    for i in distance_range_tests(f):
+        emit(Finding(
+            "rangescan-discipline", f.rel, i,
+            "distanceSq() range test re-grows the O(n²) all-pairs scan; "
+            "use net::hopCounts, SensorNetwork::neighborsOf or the spatial "
+            "grid (docs/KERNEL.md)"))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +625,8 @@ RULES = [
          "pool's crash-isolation hygiene",
          check_process_discipline, inline_ok=True),
     Rule("rangescan-discipline", "lint",
-         "direct linked() range test outside src/sim|net|mesh",
+         "direct linked() or distanceSq() range test outside "
+         "src/sim|net|mesh",
          "re-grows the O(n²) all-pairs scan the spatial grid deleted",
          check_rangescan_discipline, inline_ok=True),
 ]
