@@ -7,14 +7,15 @@
 //   ./wmsn_cli --protocol mlr --sleep --lifetime
 //   ./wmsn_cli --list
 
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 
+#include "campaign/spec.hpp"
 #include "core/wmsn.hpp"
 #include "obs/trace_analyze.hpp"
 #include "util/parse.hpp"
@@ -23,30 +24,45 @@ namespace {
 
 using namespace wmsn;
 
-const std::map<std::string, core::ProtocolKind> kProtocols = {
-    {"flooding", core::ProtocolKind::kFlooding},
-    {"gossip", core::ProtocolKind::kGossip},
-    {"spin", core::ProtocolKind::kSpin},
-    {"diffusion", core::ProtocolKind::kDiffusion},
-    {"leach", core::ProtocolKind::kLeach},
-    {"pegasis", core::ProtocolKind::kPegasis},
-    {"teen", core::ProtocolKind::kTeen},
-    {"single-sink", core::ProtocolKind::kSingleSink},
-    {"spr", core::ProtocolKind::kSpr},
-    {"mlr", core::ProtocolKind::kMlr},
-    {"secmlr", core::ProtocolKind::kSecMlr},
+/// Flags named after a campaign spec key: `--<key> <value>` is
+/// campaign::applySetting(cfg, key, value), so the CLI and campaign specs
+/// parse every scenario knob through one vocabulary.
+const std::set<std::string> kValueKeys = {
+    "protocol", "sensors", "gateways",     "places",     "area",
+    "range",    "rounds",  "packets",      "deployment", "workload",
+    "rate",     "queue",   "queue-policy", "attack",     "attackers",
+    "trace-sample"};
+
+/// Switches named after an on/off spec key: `--<key>` sets it "on".
+const std::set<std::string> kSwitchKeys = {"static", "plan", "sleep",
+                                           "reliable", "lossy"};
+
+/// Fault flags become ';'-joined tokens of the spec's `fault` value. All but
+/// the repair-time flags turn failover on by default; --link-loss does so
+/// only at a nonzero loss.
+struct FaultFlag {
+  const char* token;
+  bool enablesFailover;
+};
+const std::map<std::string, FaultFlag> kFaultFlags = {
+    {"--fault-plan", {"", true}},
+    {"--node-mtbf", {"smtbf:", true}},
+    {"--node-mttr", {"smttr:", false}},
+    {"--gateway-mtbf", {"gwmtbf:", true}},
+    {"--gateway-mttr", {"gwmttr:", false}},
+    {"--link-loss", {"loss:", false}},
 };
 
-const std::map<std::string, attacks::AttackKind> kAttacks = {
-    {"replay", attacks::AttackKind::kReplay},
-    {"spoof", attacks::AttackKind::kSpoofMove},
-    {"selective", attacks::AttackKind::kSelectiveForward},
-    {"sinkhole", attacks::AttackKind::kSinkhole},
-    {"hello-flood", attacks::AttackKind::kHelloFlood},
-    {"sybil", attacks::AttackKind::kSybil},
-    {"wormhole", attacks::AttackKind::kWormhole},
-    {"ack-spoof", attacks::AttackKind::kAckSpoof},
-};
+/// A bad scenario value exits 2 with the setting's one-line message.
+void applyOrExit(core::ScenarioConfig& cfg, const std::string& key,
+                 const std::string& value) {
+  try {
+    campaign::applySetting(cfg, key, value);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
+}
 
 void usage() {
   std::cout <<
@@ -107,7 +123,7 @@ void usage() {
       "  --timeseries-out <p>  write the per-round time series (CSV, or JSON\n"
       "                        for a .json path; --repeat concatenates CSV)\n"
       "  --perf-out <path>     count deterministic hot-path work (frames,\n"
-      "                        O(n^2) pairs examined, RNG draws, ...) and\n"
+      "                        O(n*k) pairs examined, RNG draws, ...) and\n"
       "                        write them with resource telemetry (peak RSS,\n"
       "                        allocations, rounds/sec) as JSON; --repeat\n"
       "                        merges all seeds in order\n"
@@ -162,11 +178,13 @@ int main(int argc, char** argv) {
   obs::TraceFormat traceFormat = obs::TraceFormat::kCsv;
   unsigned repeat = 1;
   unsigned threads = 0;
-  bool anyFaultFlag = false;
+  std::optional<std::string> fault;
+  bool faultFailover = false;
   bool noFailover = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const std::string key = arg.rfind("--", 0) == 0 ? arg.substr(2) : "";
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) {
         std::cerr << "missing value for " << arg << "\n";
@@ -174,151 +192,45 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    // Numeric flag values parse strictly (parseUint / parseDouble); a bad
-    // one exits 2 like a missing one does.
-    auto nextAs = [&](auto parse) {
+    // Numeric flag values parse strictly (parseUint); a bad one exits 2
+    // like a missing one does.
+    auto nextUint = [&]() {
       try {
-        return parse(arg, next());
+        return parseUint(arg, next());
       } catch (const PreconditionError& e) {
         std::cerr << e.what() << "\n";
         std::exit(2);
       }
     };
+    const auto faultFlag = kFaultFlags.find(arg);
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
     } else if (arg == "--list") {
       std::cout << "protocols:";
-      for (const auto& [name, kind] : kProtocols) std::cout << " " << name;
+      for (const auto& name : campaign::settingChoices("protocol"))
+        std::cout << " " << name;
       std::cout << "\nattacks:";
-      for (const auto& [name, kind] : kAttacks) std::cout << " " << name;
+      for (const auto& name : campaign::settingChoices("attack"))
+        std::cout << " " << name;
       std::cout << "\n";
       return 0;
-    } else if (arg == "--protocol") {
-      const std::string name = next();
-      const auto it = kProtocols.find(name);
-      if (it == kProtocols.end()) {
-        std::cerr << "unknown protocol: " << name << "\n";
-        return 2;
-      }
-      cfg.protocol = it->second;
-    } else if (arg == "--attack") {
-      const std::string name = next();
-      const auto it = kAttacks.find(name);
-      if (it == kAttacks.end()) {
-        std::cerr << "unknown attack: " << name << "\n";
-        return 2;
-      }
-      cfg.attack.kind = it->second;
-    } else if (arg == "--deployment") {
-      const std::string name = next();
-      if (name == "uniform") cfg.deployment = core::DeploymentKind::kUniform;
-      else if (name == "grid") cfg.deployment = core::DeploymentKind::kGrid;
-      else if (name == "clustered")
-        cfg.deployment = core::DeploymentKind::kClustered;
-      else {
-        std::cerr << "unknown deployment: " << name << "\n";
-        return 2;
-      }
-    } else if (arg == "--sensors") {
-      cfg.sensorCount = nextAs(parseUint);
-    } else if (arg == "--gateways") {
-      cfg.gatewayCount = nextAs(parseUint);
-    } else if (arg == "--places") {
-      cfg.feasiblePlaceCount = nextAs(parseUint);
-    } else if (arg == "--area") {
-      cfg.width = cfg.height = nextAs(parseDouble);
-    } else if (arg == "--range") {
-      cfg.radioRange = nextAs(parseDouble);
-    } else if (arg == "--rounds") {
-      cfg.rounds = static_cast<std::uint32_t>(nextAs(parseUint));
-    } else if (arg == "--packets") {
-      cfg.packetsPerSensorPerRound =
-          static_cast<std::uint32_t>(nextAs(parseUint));
-    } else if (arg == "--seed") {
-      cfg.seed = nextAs(parseUint);
-    } else if (arg == "--repeat") {
-      repeat = static_cast<unsigned>(nextAs(parseUint));
-    } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(nextAs(parseUint));
-    } else if (arg == "--workload") {
-      const std::string name = next();
-      if (name == "legacy")
-        cfg.workload.kind = workload::WorkloadKind::kLegacyRounds;
-      else if (name == "periodic")
-        cfg.workload.kind = workload::WorkloadKind::kPeriodic;
-      else if (name == "poisson")
-        cfg.workload.kind = workload::WorkloadKind::kPoisson;
-      else if (name == "burst")
-        cfg.workload.kind = workload::WorkloadKind::kBurst;
-      else {
-        std::cerr << "unknown workload: " << name << "\n";
-        return 2;
-      }
-    } else if (arg == "--rate") {
-      cfg.workload.ratePerSensor = nextAs(parseDouble);
-    } else if (arg == "--queue") {
-      cfg.macQueue.capacity = nextAs(parseUint);
-    } else if (arg == "--queue-policy") {
-      const std::string name = next();
-      if (name == "drop-tail")
-        cfg.macQueue.policy = net::QueuePolicy::kDropTail;
-      else if (name == "drop-oldest")
-        cfg.macQueue.policy = net::QueuePolicy::kDropOldest;
-      else {
-        std::cerr << "unknown queue policy: " << name << "\n";
-        return 2;
-      }
-    } else if (arg == "--attackers") {
-      cfg.attackerCount = nextAs(parseUint);
-    } else if (arg == "--fault-plan") {
-      try {
-        cfg.faults.events = fault::parseFaultPlan(next());
-      } catch (const std::exception& e) {
-        std::cerr << "bad --fault-plan: " << e.what() << "\n";
-        return 2;
-      }
-      anyFaultFlag = true;
-    } else if (arg == "--node-mtbf") {
-      cfg.faults.sensorMtbfRounds =
-          static_cast<std::uint32_t>(nextAs(parseUint));
-      anyFaultFlag = true;
-    } else if (arg == "--node-mttr") {
-      cfg.faults.sensorMttrRounds =
-          static_cast<std::uint32_t>(nextAs(parseUint));
-    } else if (arg == "--gateway-mtbf") {
-      cfg.faults.gatewayMtbfRounds =
-          static_cast<std::uint32_t>(nextAs(parseUint));
-      anyFaultFlag = true;
-    } else if (arg == "--gateway-mttr") {
-      cfg.faults.gatewayMttrRounds =
-          static_cast<std::uint32_t>(nextAs(parseUint));
-    } else if (arg == "--link-loss") {
-      const double p = nextAs(parseDouble);
-      if (p < 0.0 || p >= 1.0) {
-        std::cerr << "--link-loss expects a fraction in [0,1)\n";
-        return 2;
-      }
-      if (p > 0.0) {
-        // Solve the two-state chain for the requested steady-state loss,
-        // keeping the default burst length (1/pBadToGood frames).
-        cfg.faults.linkLoss.enabled = true;
-        cfg.faults.linkLoss.pGoodToBad =
-            cfg.faults.linkLoss.pBadToGood * p / (1.0 - p);
-        anyFaultFlag = true;
-      }
+    } else if (kValueKeys.count(key) != 0) {
+      applyOrExit(cfg, key, next());
+    } else if (kSwitchKeys.count(key) != 0) {
+      applyOrExit(cfg, key, "on");
+    } else if (faultFlag != kFaultFlags.end()) {
+      const std::string token = faultFlag->second.token + next();
+      fault = fault ? *fault + ";" + token : token;
+      faultFailover = faultFailover || faultFlag->second.enablesFailover;
     } else if (arg == "--no-failover") {
       noFailover = true;
-    } else if (arg == "--static") {
-      cfg.gatewaysMove = false;
-    } else if (arg == "--plan") {
-      cfg.planGatewayPlacement = true;
-    } else if (arg == "--sleep") {
-      cfg.sleep.enabled = true;
-    } else if (arg == "--reliable") {
-      cfg.mlr.reliableForwarding = true;
-    } else if (arg == "--lossy") {
-      cfg.lossyRadio = true;
+    } else if (arg == "--seed") {
+      cfg.seed = nextUint();
+    } else if (arg == "--repeat") {
+      repeat = static_cast<unsigned>(nextUint());
+    } else if (arg == "--threads") {
+      threads = static_cast<unsigned>(nextUint());
     } else if (arg == "--svg") {
       svgPath = next();
     } else if (arg == "--trace") {
@@ -337,14 +249,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-spans") {
       traceSpansPath = next();
       cfg.obs.traceSpans = true;
-    } else if (arg == "--trace-sample") {
-      const double f = nextAs(parseDouble);
-      if (f <= 0.0 || f > 1.0) {
-        std::cerr << "--trace-sample expects a fraction in (0,1]\n";
-        return 2;
-      }
-      cfg.obs.traceSamplePermille =
-          static_cast<std::uint32_t>(std::lround(f * 1000.0));
     } else if (arg == "--trace-analyze") {
       traceAnalyzePath = next();
     } else if (arg == "--flight-recorder") {
@@ -370,13 +274,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (anyFaultFlag && !noFailover) {
+  if (fault) applyOrExit(cfg, "fault", *fault);
+  if ((faultFailover || cfg.faults.linkLoss.enabled) && !noFailover) {
     // Fault runs get the hardened routing by default: MLR/SecMLR heartbeat
     // failover and SPR discovery backoff. --no-failover ablates back to the
     // legacy behaviour for comparison.
-    cfg.mlr.failover = true;
-    if (cfg.spr.retryBackoff.us == 0)
-      cfg.spr.retryBackoff = sim::Time::seconds(0.2);
+    applyOrExit(cfg, "failover", "on");
   }
 
   if (!traceAnalyzePath.empty()) {

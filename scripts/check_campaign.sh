@@ -10,6 +10,9 @@
 #   3. crash isolation            — WMSN_CAMPAIGN_CRASH_RUN kills one worker
 #      mid-run; the campaign must still complete (exit 0) and record exactly
 #      that run as failed
+#   4. committed artifacts        — fresh runs of campaigns/attacks.spec and
+#      campaigns/obs_overhead.spec must equal BENCH_attacks.json and
+#      BENCH_obs_overhead.json byte for byte, so a stale artifact fails
 #
 # usage: check_campaign.sh <path-to-wmsn_campaign> <repo-source-dir>
 set -euo pipefail
@@ -67,4 +70,17 @@ grep -q 'worker process died mid-run' "$work/crash.json" || {
   exit 1
 }
 
-echo "check_campaign: worker-count, resume and crash-isolation gates green"
+# 4. Committed artifacts are current.
+for name in attacks obs_overhead; do
+  artifact="$srcdir/BENCH_$name.json"
+  "$bin" "$srcdir/campaigns/$name.spec" --out "$work/$name.json" \
+         --journal "$work/$name.journal" --quiet --workers 4
+  cmp -s "$artifact" "$work/$name.json" || {
+    echo "check_campaign: $artifact differs from a fresh run of" \
+         "campaigns/$name.spec" >&2
+    exit 1
+  }
+done
+
+echo "check_campaign: worker-count, resume, crash-isolation and artifact" \
+     "gates green"

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "util/parse.hpp"
 #include "util/random.hpp"
@@ -50,24 +51,74 @@ bool parseSwitch(const std::string& key, const std::string& value) {
                           "': expected on/off, got '" + value + "'");
 }
 
-core::ProtocolKind parseProtocol(const std::string& value) {
-  static const std::vector<std::pair<std::string, core::ProtocolKind>> kMap = {
-      {"flooding", core::ProtocolKind::kFlooding},
-      {"gossip", core::ProtocolKind::kGossip},
-      {"spin", core::ProtocolKind::kSpin},
-      {"diffusion", core::ProtocolKind::kDiffusion},
-      {"leach", core::ProtocolKind::kLeach},
-      {"pegasis", core::ProtocolKind::kPegasis},
-      {"teen", core::ProtocolKind::kTeen},
-      {"single-sink", core::ProtocolKind::kSingleSink},
-      {"spr", core::ProtocolKind::kSpr},
-      {"mlr", core::ProtocolKind::kMlr},
-      {"secmlr", core::ProtocolKind::kSecMlr},
-  };
-  for (const auto& [name, kind] : kMap)
-    if (name == value) return kind;
-  throw PreconditionError("campaign key 'protocol': unknown protocol '" +
-                          value + "'");
+/// One accepted spelling of an enum-valued setting. The tables below are the
+/// single vocabulary for these keys: applySetting looks values up in them and
+/// settingChoices lists them (wmsn_cli --list).
+template <typename Kind>
+struct Choice {
+  std::string_view name;  // a view, so a lookup compares lengths first
+  Kind kind;
+};
+
+constexpr Choice<core::ProtocolKind> kProtocols[] = {
+    {"flooding", core::ProtocolKind::kFlooding},
+    {"gossip", core::ProtocolKind::kGossip},
+    {"spin", core::ProtocolKind::kSpin},
+    {"diffusion", core::ProtocolKind::kDiffusion},
+    {"leach", core::ProtocolKind::kLeach},
+    {"pegasis", core::ProtocolKind::kPegasis},
+    {"teen", core::ProtocolKind::kTeen},
+    {"single-sink", core::ProtocolKind::kSingleSink},
+    {"spr", core::ProtocolKind::kSpr},
+    {"mlr", core::ProtocolKind::kMlr},
+    {"secmlr", core::ProtocolKind::kSecMlr},
+};
+
+constexpr Choice<attacks::AttackKind> kAttacks[] = {
+    {"none", attacks::AttackKind::kNone},
+    {"replay", attacks::AttackKind::kReplay},
+    {"spoof", attacks::AttackKind::kSpoofMove},
+    {"selective", attacks::AttackKind::kSelectiveForward},
+    {"sinkhole", attacks::AttackKind::kSinkhole},
+    {"hello-flood", attacks::AttackKind::kHelloFlood},
+    {"sybil", attacks::AttackKind::kSybil},
+    {"wormhole", attacks::AttackKind::kWormhole},
+    {"ack-spoof", attacks::AttackKind::kAckSpoof},
+};
+
+constexpr Choice<core::DeploymentKind> kDeployments[] = {
+    {"uniform", core::DeploymentKind::kUniform},
+    {"grid", core::DeploymentKind::kGrid},
+    {"clustered", core::DeploymentKind::kClustered},
+};
+
+constexpr Choice<workload::WorkloadKind> kWorkloads[] = {
+    {"legacy", workload::WorkloadKind::kLegacyRounds},
+    {"periodic", workload::WorkloadKind::kPeriodic},
+    {"poisson", workload::WorkloadKind::kPoisson},
+    {"burst", workload::WorkloadKind::kBurst},
+};
+
+constexpr Choice<net::QueuePolicy> kQueuePolicies[] = {
+    {"drop-tail", net::QueuePolicy::kDropTail},
+    {"drop-oldest", net::QueuePolicy::kDropOldest},
+};
+
+template <typename Kind, std::size_t N>
+Kind lookup(const Choice<Kind> (&table)[N], const std::string& key,
+            const std::string& value) {
+  for (const Choice<Kind>& choice : table)
+    if (value == choice.name) return choice.kind;
+  throw PreconditionError(keyLabel(key) + ": unknown value '" + value + "'");
+}
+
+template <typename Kind, std::size_t N>
+std::vector<std::string> names(const Choice<Kind> (&table)[N]) {
+  std::vector<std::string> out;
+  for (const Choice<Kind>& choice : table)
+    if (choice.name != "none") out.emplace_back(choice.name);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// Fault axis value: `none`, or ';'-joined tokens — scheduled events in the
@@ -92,8 +143,9 @@ void applyFault(core::ScenarioConfig& cfg, const std::string& value) {
           parseUint(keyLabel("fault"), token.substr(7)));
     } else if (token.rfind("loss:", 0) == 0) {
       const double p = parseDouble(keyLabel("fault"), token.substr(5));
-      WMSN_REQUIRE_MSG(p >= 0.0 && p < 1.0,
-                       "campaign key 'fault': loss fraction must be in [0,1)");
+      if (!(p >= 0.0 && p < 1.0))
+        throw PreconditionError(keyLabel("fault") +
+                                ": loss fraction must be in [0,1)");
       if (p > 0.0) {
         cfg.faults.linkLoss.enabled = true;
         cfg.faults.linkLoss.pGoodToBad =
@@ -111,115 +163,88 @@ void applyFault(core::ScenarioConfig& cfg, const std::string& value) {
 
 void applySetting(core::ScenarioConfig& cfg, const std::string& key,
                   const std::string& value) {
-  if (key == "protocol") {
-    cfg.protocol = parseProtocol(value);
-  } else if (key == "sensors") {
+  // A view compares lengths first, so each miss in this chain is cheap.
+  const std::string_view k = key;
+  if (k == "protocol") {
+    cfg.protocol = lookup(kProtocols, key, value);
+  } else if (k == "sensors") {
     cfg.sensorCount = parseUint(keyLabel(key), value);
-  } else if (key == "gateways") {
+  } else if (k == "gateways") {
     cfg.gatewayCount = parseUint(keyLabel(key), value);
-  } else if (key == "places") {
+  } else if (k == "places") {
     cfg.feasiblePlaceCount = parseUint(keyLabel(key), value);
-  } else if (key == "clusters") {
+  } else if (k == "clusters") {
     cfg.clusterCount = parseUint(keyLabel(key), value);
-  } else if (key == "area") {
+  } else if (k == "area") {
     cfg.width = cfg.height = parseDouble(keyLabel(key), value);
-  } else if (key == "range") {
+  } else if (k == "range") {
     cfg.radioRange = parseDouble(keyLabel(key), value);
-  } else if (key == "rounds") {
+  } else if (k == "rounds") {
     cfg.rounds = static_cast<std::uint32_t>(parseUint(keyLabel(key), value));
-  } else if (key == "packets") {
+  } else if (k == "packets") {
     cfg.packetsPerSensorPerRound =
         static_cast<std::uint32_t>(parseUint(keyLabel(key), value));
-  } else if (key == "reading-bytes") {
+  } else if (k == "reading-bytes") {
     cfg.readingBytes = parseUint(keyLabel(key), value);
-  } else if (key == "deployment") {
-    if (value == "uniform") cfg.deployment = core::DeploymentKind::kUniform;
-    else if (value == "grid") cfg.deployment = core::DeploymentKind::kGrid;
-    else if (value == "clustered")
-      cfg.deployment = core::DeploymentKind::kClustered;
-    else
-      throw PreconditionError("campaign key 'deployment': unknown kind '" +
-                              value + "'");
-  } else if (key == "workload") {
-    if (value == "legacy")
-      cfg.workload.kind = workload::WorkloadKind::kLegacyRounds;
-    else if (value == "periodic")
-      cfg.workload.kind = workload::WorkloadKind::kPeriodic;
-    else if (value == "poisson")
-      cfg.workload.kind = workload::WorkloadKind::kPoisson;
-    else if (value == "burst")
-      cfg.workload.kind = workload::WorkloadKind::kBurst;
-    else
-      throw PreconditionError("campaign key 'workload': unknown kind '" +
-                              value + "'");
-  } else if (key == "rate") {
+  } else if (k == "deployment") {
+    cfg.deployment = lookup(kDeployments, key, value);
+  } else if (k == "workload") {
+    cfg.workload.kind = lookup(kWorkloads, key, value);
+  } else if (k == "rate") {
     cfg.workload.ratePerSensor = parseDouble(keyLabel(key), value);
     cfg.workload.burst.backgroundRate = cfg.workload.ratePerSensor;
-  } else if (key == "queue") {
+  } else if (k == "queue") {
     cfg.macQueue.capacity = parseUint(keyLabel(key), value);
-  } else if (key == "queue-policy") {
-    if (value == "drop-tail") cfg.macQueue.policy = net::QueuePolicy::kDropTail;
-    else if (value == "drop-oldest")
-      cfg.macQueue.policy = net::QueuePolicy::kDropOldest;
-    else
-      throw PreconditionError("campaign key 'queue-policy': unknown policy '" +
-                              value + "'");
-  } else if (key == "static") {
+  } else if (k == "queue-policy") {
+    cfg.macQueue.policy = lookup(kQueuePolicies, key, value);
+  } else if (k == "static") {
     cfg.gatewaysMove = !parseSwitch(key, value);
-  } else if (key == "plan") {
+  } else if (k == "plan") {
     cfg.planGatewayPlacement = parseSwitch(key, value);
-  } else if (key == "sleep") {
+  } else if (k == "sleep") {
     cfg.sleep.enabled = parseSwitch(key, value);
-  } else if (key == "reliable") {
+  } else if (k == "reliable") {
     cfg.mlr.reliableForwarding = parseSwitch(key, value);
-  } else if (key == "lossy") {
+  } else if (k == "lossy") {
     cfg.lossyRadio = parseSwitch(key, value);
-  } else if (key == "failover") {
-    // Mirrors wmsn_cli's fault-run default: MLR/SecMLR heartbeat failover
-    // plus SPR re-discovery backoff, or the legacy ablation when off.
+  } else if (k == "failover") {
+    // wmsn_cli's fault-run default: MLR/SecMLR heartbeat failover plus SPR
+    // re-discovery backoff, or the legacy ablation when off.
     const bool on = parseSwitch(key, value);
     cfg.mlr.failover = on;
     if (on && cfg.spr.retryBackoff.us == 0)
       cfg.spr.retryBackoff = sim::Time::seconds(0.2);
-  } else if (key == "metrics") {
+  } else if (k == "metrics") {
     cfg.obs.metrics = parseSwitch(key, value);
-  } else if (key == "perf") {
+  } else if (k == "perf") {
     cfg.obs.perf = parseSwitch(key, value);
-  } else if (key == "trace") {
+  } else if (k == "trace") {
     cfg.obs.traceSpans = parseSwitch(key, value);
-  } else if (key == "trace-sample") {
+  } else if (k == "trace-sample") {
     const double f = parseDouble(keyLabel(key), value);
-    WMSN_REQUIRE_MSG(f > 0.0 && f <= 1.0,
-                     "campaign key 'trace-sample': fraction must be in (0,1]");
+    if (!(f > 0.0 && f <= 1.0))
+      throw PreconditionError(keyLabel(key) + ": fraction must be in (0,1]");
     cfg.obs.traceSamplePermille =
         static_cast<std::uint32_t>(f * 1000.0 + 0.5);
-  } else if (key == "attack") {
-    if (value == "none") cfg.attack.kind = attacks::AttackKind::kNone;
-    else if (value == "replay") cfg.attack.kind = attacks::AttackKind::kReplay;
-    else if (value == "spoof")
-      cfg.attack.kind = attacks::AttackKind::kSpoofMove;
-    else if (value == "selective")
-      cfg.attack.kind = attacks::AttackKind::kSelectiveForward;
-    else if (value == "sinkhole")
-      cfg.attack.kind = attacks::AttackKind::kSinkhole;
-    else if (value == "hello-flood")
-      cfg.attack.kind = attacks::AttackKind::kHelloFlood;
-    else if (value == "sybil") cfg.attack.kind = attacks::AttackKind::kSybil;
-    else if (value == "wormhole")
-      cfg.attack.kind = attacks::AttackKind::kWormhole;
-    else if (value == "ack-spoof")
-      cfg.attack.kind = attacks::AttackKind::kAckSpoof;
-    else
-      throw PreconditionError("campaign key 'attack': unknown kind '" + value +
-                              "'");
-  } else if (key == "attackers") {
+  } else if (k == "attack") {
+    cfg.attack.kind = lookup(kAttacks, key, value);
+  } else if (k == "attackers") {
     cfg.attackerCount = parseUint(keyLabel(key), value);
-  } else if (key == "fault") {
+  } else if (k == "fault") {
     applyFault(cfg, value);
   } else {
     throw PreconditionError("campaign spec: unknown setting key '" + key +
                             "'");
   }
+}
+
+std::vector<std::string> settingChoices(const std::string& key) {
+  if (key == "protocol") return names(kProtocols);
+  if (key == "attack") return names(kAttacks);
+  if (key == "deployment") return names(kDeployments);
+  if (key == "workload") return names(kWorkloads);
+  if (key == "queue-policy") return names(kQueuePolicies);
+  throw PreconditionError(keyLabel(key) + " takes no named values");
 }
 
 std::uint64_t CampaignSpec::fingerprint() const {

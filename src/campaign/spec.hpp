@@ -79,12 +79,18 @@ CampaignSpec parseSpec(const std::string& text);
 /// Reads and parses a spec file. Throws on I/O failure.
 CampaignSpec loadSpec(const std::string& path);
 
-/// Applies one `key = value` setting to a scenario config. Shared by base
-/// settings, variant bundles and axis values so every spelling of a knob
-/// behaves identically. Throws PreconditionError naming the key on bad
-/// input. `specs/` keys mirror wmsn_cli flags (EXPERIMENTS.md lists them).
+/// Applies one `key = value` setting to a scenario config: the only code
+/// that turns a scenario name or value into ScenarioConfig fields. Shared by
+/// spec base settings, variant bundles, axis values and wmsn_cli's scenario
+/// flags (`--<key> <value>`) so every spelling of a knob behaves
+/// identically. Throws PreconditionError naming the key on bad input.
 void applySetting(core::ScenarioConfig& cfg, const std::string& key,
                   const std::string& value);
+
+/// The names an enum-valued key (protocol, attack, deployment, workload,
+/// queue-policy) accepts, sorted; `none`, the knob-off value, is left out.
+/// Throws PreconditionError for any other key.
+std::vector<std::string> settingChoices(const std::string& key);
 
 /// One expanded grid point: a fully-built ScenarioConfig plus the identity
 /// strings the journal, artifact and statistics key on.

@@ -31,14 +31,16 @@ double costOfMinField(const std::vector<std::uint32_t>& minField) {
   return cost;
 }
 
-}  // namespace
-
-std::vector<std::size_t> planGatewayPlaces(
-    const std::vector<net::Point>& sensors,
-    const std::vector<net::Point>& places, std::size_t m,
-    double radioRange) {
-  WMSN_REQUIRE(m >= 1 && m <= places.size());
-
+/// The greedy §4.1 planner: each pick adds the unchosen place whose hop
+/// field most lowers the cost (ties to the lowest index). The plan for m is
+/// the prefix of the plan for m + 1, so one pass serves every m: after pick
+/// number k, `onPick(k, cost)` sees the cost of the first k picks and returns
+/// false to stop. Returns the picks made.
+template <typename OnPick>
+std::vector<std::size_t> greedyPlaces(const std::vector<net::Point>& sensors,
+                                      const std::vector<net::Point>& places,
+                                      std::size_t m, double radioRange,
+                                      OnPick onPick) {
   // Precompute the hop field of every candidate place once.
   std::vector<std::vector<std::uint32_t>> fields;
   fields.reserve(places.size());
@@ -48,7 +50,7 @@ std::vector<std::size_t> planGatewayPlaces(
   std::vector<std::size_t> chosen;
   std::vector<std::uint32_t> minField(sensors.size(), net::kUnreachableHops);
 
-  for (std::size_t pick = 0; pick < m; ++pick) {
+  while (chosen.size() < m) {
     double bestCost = std::numeric_limits<double>::max();
     std::size_t bestPlace = places.size();
     for (std::size_t p = 0; p < places.size(); ++p) {
@@ -67,8 +69,20 @@ std::vector<std::size_t> planGatewayPlaces(
     chosen.push_back(bestPlace);
     for (std::size_t s = 0; s < sensors.size(); ++s)
       minField[s] = std::min(minField[s], fields[bestPlace][s]);
+    if (!onPick(chosen.size(), bestCost)) break;
   }
   return chosen;
+}
+
+}  // namespace
+
+std::vector<std::size_t> planGatewayPlaces(
+    const std::vector<net::Point>& sensors,
+    const std::vector<net::Point>& places, std::size_t m,
+    double radioRange) {
+  WMSN_REQUIRE(m >= 1 && m <= places.size());
+  return greedyPlaces(sensors, places, m, radioRange,
+                      [](std::size_t, double) { return true; });
 }
 
 double totalHopCost(const std::vector<net::Point>& sensors,
@@ -89,17 +103,19 @@ std::size_t estimateGatewayCount(const std::vector<net::Point>& sensors,
                                  const std::vector<net::Point>& places,
                                  double radioRange, double kneeFraction) {
   WMSN_REQUIRE(!places.empty());
+  std::size_t estimate = places.size();
   double prevCost = std::numeric_limits<double>::max();
-  for (std::size_t m = 1; m <= places.size(); ++m) {
-    const auto selection =
-        planGatewayPlaces(sensors, places, m, radioRange);
-    const double cost = totalHopCost(sensors, places, selection, radioRange);
-    if (m > 1 && prevCost > 0.0 &&
-        (prevCost - cost) / prevCost < kneeFraction)
-      return m - 1;  // the previous m was already within the knee
-    prevCost = cost;
-  }
-  return places.size();
+  greedyPlaces(sensors, places, places.size(), radioRange,
+               [&](std::size_t m, double cost) {
+                 if (m > 1 && prevCost > 0.0 &&
+                     (prevCost - cost) / prevCost < kneeFraction) {
+                   estimate = m - 1;  // the previous m was within the knee
+                   return false;
+                 }
+                 prevCost = cost;
+                 return true;
+               });
+  return estimate;
 }
 
 }  // namespace wmsn::core

@@ -183,6 +183,24 @@ TEST(CampaignExpand, VariantBundlesApplyTheirSettings) {
   EXPECT_EQ(plan[1].config.protocol, core::ProtocolKind::kMlr);
 }
 
+TEST(CampaignSpec, SettingChoicesAreSortedAndAccepted) {
+  for (const char* key :
+       {"protocol", "attack", "deployment", "workload", "queue-policy"}) {
+    const auto names = campaign::settingChoices(key);
+    EXPECT_FALSE(names.empty()) << key;
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end())) << key;
+    EXPECT_EQ(std::count(names.begin(), names.end(), "none"), 0) << key;
+    for (const std::string& name : names) {
+      core::ScenarioConfig cfg;
+      EXPECT_NO_THROW(campaign::applySetting(cfg, key, name))
+          << key << " = " << name;
+    }
+  }
+  EXPECT_EQ(campaign::settingChoices("protocol").size(), 11u);
+  EXPECT_EQ(campaign::settingChoices("attack").size(), 8u);
+  EXPECT_THROW(campaign::settingChoices("sensors"), PreconditionError);
+}
+
 // --- record wire -----------------------------------------------------------
 
 TEST(CampaignRecord, WireRoundTripsLosslessly) {

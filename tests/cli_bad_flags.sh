@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# A bad numeric flag value must exit 2 with a one-line message: never abort
-# on an uncaught exception, never wrap "-1" into a huge unsigned value.
+# A bad flag value must exit 2 with a one-line message: never abort on an
+# uncaught exception, never wrap "-1" into a huge unsigned value.
 #
 # usage: cli_bad_flags.sh <wmsn_cli> <wmsn_campaign> <repo-root> \
 #                         <bench binary> <bench_obs_overhead>
@@ -37,4 +37,11 @@ done
 expect_exit2 "$obs_bench" --reps abc
 expect_exit2 "$cli" --area abc
 expect_exit2 "$cli" --rate 1.5x
+# Bad scenario names and out-of-range fractions exit 2 the same way.
+for flag in --protocol --attack --deployment --workload --queue-policy; do
+  expect_exit2 "$cli" "$flag" bogus
+done
+expect_exit2 "$cli" --link-loss 1.5
+expect_exit2 "$cli" --trace-sample 0
+expect_exit2 "$cli" --fault-plan zz
 exit "$status"

@@ -145,15 +145,6 @@ TEST(TraceSinks, FormatRoundTrip) {
     EXPECT_EQ(obs::parseTraceFormat(obs::toString(f)), f);
 }
 
-TEST(TraceSinks, JsonlEscaping) {
-  EXPECT_EQ(obs::JsonlTraceSink::escape("plain"), "plain");
-  EXPECT_EQ(obs::JsonlTraceSink::escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(obs::JsonlTraceSink::escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::JsonlTraceSink::escape("a\nb"), "a\\nb");
-  EXPECT_EQ(obs::JsonlTraceSink::escape(std::string("a\x01") + "b"),
-            "a\\u0001b");
-}
-
 TEST(TraceSinks, JsonlRowShape) {
   obs::JsonlTraceSink sink;
   sink.onEvent(sampleEvent());

@@ -7,6 +7,7 @@
 
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
@@ -320,6 +321,16 @@ TEST(CsvWriter, EscapesSpecialCharacters) {
 TEST(CsvWriter, RejectsMismatchedRow) {
   CsvWriter csv({"a"});
   EXPECT_THROW(csv.addRow({"x", "y"}), PreconditionError);
+}
+
+// --- JSON string escaping -----------------------------------------------------
+
+TEST(Json, EscapeQuotesBackslashesAndControlChars) {
+  EXPECT_EQ(jsonEscape("plain"), "plain");
+  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 // --- Strict numeric parsing --------------------------------------------------
