@@ -224,8 +224,13 @@ void applySetting(core::ScenarioConfig& cfg, const std::string& key,
     const double f = parseDouble(keyLabel(key), value);
     if (!(f > 0.0 && f <= 1.0))
       throw PreconditionError(keyLabel(key) + ": fraction must be in (0,1]");
-    cfg.obs.traceSamplePermille =
-        static_cast<std::uint32_t>(f * 1000.0 + 0.5);
+    const auto permille = static_cast<std::uint32_t>(f * 1000.0 + 0.5);
+    // Sampling is kept in whole permille; a fraction that rounds to none
+    // would trace nothing at all.
+    if (permille == 0)
+      throw PreconditionError(keyLabel(key) + ": fraction " + value +
+                              " rounds to 0 permille; the smallest is 0.0005");
+    cfg.obs.traceSamplePermille = permille;
   } else if (k == "attack") {
     cfg.attack.kind = lookup(kAttacks, key, value);
   } else if (k == "attackers") {

@@ -265,6 +265,11 @@ RunResult Experiment::run() {
   // protocols flush just past the boundary) so the last round is not
   // artificially penalised.
   s.simulator.runUntil(s.simulator.now() + cfg.drainGrace);
+  // Every reception ends in an event, so an idle simulator means an empty
+  // reception table with every frame handle released.
+  WMSN_INVARIANT_MSG(
+      s.simulator.queueSize() != 0 || s.network->medium().idle(),
+      "an idle simulator leaves no reception slot or frame handle live");
 
   if (perfOn) {
     obs::ResourceTelemetry& tel = observations_->telemetry;

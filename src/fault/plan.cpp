@@ -1,7 +1,9 @@
 #include "fault/plan.hpp"
 
 #include <cctype>
+#include <limits>
 
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::fault {
@@ -23,6 +25,17 @@ double GilbertElliottParams::steadyStateLoss() const {
 
 namespace {
 
+/// A 32-bit field of a fault event: digits only (the caller scanned them),
+/// and no value past what the field holds.
+std::uint32_t parseField(const std::string& item, const char* field,
+                         const std::string& digits) {
+  const std::string what = "fault event '" + item + "' " + field;
+  const std::uint64_t value = parseUint(what, digits);
+  if (value > std::numeric_limits<std::uint32_t>::max())
+    throw PreconditionError(what + ": out of range: '" + digits + "'");
+  return static_cast<std::uint32_t>(value);
+}
+
 FaultEvent parseEvent(const std::string& item) {
   FaultEvent event;
   std::size_t pos = 0;
@@ -43,7 +56,7 @@ FaultEvent parseEvent(const std::string& item) {
     ++digits;
   WMSN_REQUIRE_MSG(digits > 0,
                    "fault event '" + item + "': missing target ordinal");
-  event.ordinal = std::stoul(item.substr(pos, digits));
+  event.ordinal = parseField(item, "ordinal", item.substr(pos, digits));
   pos += digits;
 
   if (pos < item.size() && item[pos] == '+') {
@@ -58,7 +71,7 @@ FaultEvent parseEvent(const std::string& item) {
   for (std::size_t i = pos; i < item.size(); ++i)
     WMSN_REQUIRE_MSG(std::isdigit(static_cast<unsigned char>(item[i])),
                      "fault event '" + item + "': malformed round");
-  event.round = static_cast<std::uint32_t>(std::stoul(item.substr(pos)));
+  event.round = parseField(item, "round", item.substr(pos));
   return event;
 }
 

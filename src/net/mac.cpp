@@ -17,11 +17,31 @@ std::string toString(QueuePolicy policy) {
   return "unknown";
 }
 
-CsmaMac::CsmaMac(Medium& medium, sim::Simulator& simulator, NodeId self,
-                 Rng rng, CsmaParams params, QueueParams queue,
-                 TrafficStats* stats, obs::PacketTracer* tracer)
+std::uint32_t ContentionSlots::put(Packet packet) {
+  if (free_.empty()) {
+    packets_.push_back(std::move(packet));
+    return static_cast<std::uint32_t>(packets_.size() - 1);
+  }
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  packets_[slot] = std::move(packet);
+  return slot;
+}
+
+Packet ContentionSlots::take(std::uint32_t slot) {
+  Packet packet = std::move(packets_[slot]);
+  packets_[slot] = Packet{};
+  free_.push_back(slot);
+  return packet;
+}
+
+CsmaMac::CsmaMac(Medium& medium, sim::Simulator& simulator,
+                 ContentionSlots& slots, NodeId self, Rng rng,
+                 CsmaParams params, QueueParams queue, TrafficStats* stats,
+                 obs::PacketTracer* tracer)
     : medium_(medium),
       simulator_(simulator),
+      slots_(slots),
       self_(self),
       rng_(rng),
       params_(params),
@@ -80,13 +100,14 @@ void CsmaMac::serve(Packet packet) {
   WMSN_PERF(kRngDraws);
   const sim::Time jitter = sim::Time::microseconds(
       rng_.uniformInt(0, params_.backoffUnit.us * 8));
-  simulator_.schedule(jitter,
-                      [this, packet = std::move(packet)] { attempt(packet, 0); });
+  const std::uint32_t slot = slots_.put(std::move(packet));
+  simulator_.schedule(jitter, [this, slot] { attempt(slot, 0); });
 }
 
-void CsmaMac::attempt(Packet packet, std::uint32_t tries) {
+void CsmaMac::attempt(std::uint32_t slot, std::uint32_t tries) {
   WMSN_PROFILE_PHASE(kMacContention);
   if (!medium_.channelBusy(self_)) {
+    Packet packet = slots_.take(slot);
     const sim::Time air = medium_.airTime(packet);
     medium_.transmit(self_, std::move(packet));
     // With a finite queue the MAC is half-duplex: the next waiting frame
@@ -95,6 +116,7 @@ void CsmaMac::attempt(Packet packet, std::uint32_t tries) {
       simulator_.schedule(air, [this] { serveNext(); });
     return;
   }
+  const Packet& packet = slots_.at(slot);
   if (tries + 1 >= params_.maxAttempts) {
     ++drops_;
     if (stats_) stats_->onMacDrop();
@@ -103,6 +125,9 @@ void CsmaMac::attempt(Packet packet, std::uint32_t tries) {
                  packet.uid, self_, packet.hopDst,
                  obs::TraceDropReason::kMacExhausted, tries + 1,
                  static_cast<std::uint32_t>(packet.sizeBytes()));
+    // Free the slot before serveNext, which may take one (and grow the
+    // table under `packet`).
+    slots_.take(slot);
     if (queue_.capacity > 0) serveNext();
     return;
   }
@@ -115,9 +140,8 @@ void CsmaMac::attempt(Packet packet, std::uint32_t tries) {
   const std::uint32_t be = std::min(params_.minBackoffExponent + tries,
                                     params_.maxBackoffExponent);
   const std::int64_t slots = rng_.uniformInt(1, (1 << be) - 1);
-  simulator_.schedule(
-      sim::Time::microseconds(slots * params_.backoffUnit.us),
-      [this, packet = std::move(packet), tries] { attempt(packet, tries + 1); });
+  simulator_.schedule(sim::Time::microseconds(slots * params_.backoffUnit.us),
+                      [this, slot, tries] { attempt(slot, tries + 1); });
 }
 
 void CsmaMac::serveNext() {

@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/medium.hpp"
 #include "net/metrics.hpp"
@@ -56,7 +57,9 @@ class Mac {
 class IdealMac final : public Mac {
  public:
   IdealMac(Medium& medium, NodeId self) : medium_(medium), self_(self) {}
-  void send(Packet packet) override { medium_.transmit(self_, packet); }
+  void send(Packet packet) override {
+    medium_.transmit(self_, std::move(packet));
+  }
 
  private:
   Medium& medium_;
@@ -70,6 +73,24 @@ struct CsmaParams {
   sim::Time backoffUnit = sim::Time::microseconds(320);  ///< aUnitBackoffPeriod
 };
 
+/// Frames that CSMA MACs hold between their jitter draw and their
+/// transmission or drop, by slot. One table serves every MAC of a network,
+/// so it grows with the number of frames contending at once, not with the
+/// node count, and the contention events carry only a slot index. Indices,
+/// not references, cross event boundaries: putting a frame can reallocate
+/// the table.
+class ContentionSlots {
+ public:
+  std::uint32_t put(Packet packet);
+  const Packet& at(std::uint32_t slot) const { return packets_[slot]; }
+  /// Moves the frame out and frees its slot.
+  Packet take(std::uint32_t slot);
+
+ private:
+  std::vector<Packet> packets_;
+  std::vector<std::uint32_t> free_;
+};
+
 /// Unslotted CSMA/CA in the style of 802.15.4: sense the channel, transmit
 /// if idle, otherwise back off a random number of backoff units with a
 /// growing window; give up after maxAttempts.
@@ -78,10 +99,14 @@ struct CsmaParams {
 /// serves one frame at a time — jitter, backoff, then the frame's air time
 /// — while later sends wait in a bounded buffer; overflow drops per the
 /// queue policy and is reported to TrafficStats.
+///
+/// A frame between its jitter and its transmission (or drop) sits in the
+/// network's ContentionSlots, so a channel-access attempt allocates
+/// nothing. Legacy capacity-0 mode keeps several frames in flight per node.
 class CsmaMac final : public Mac {
  public:
-  CsmaMac(Medium& medium, sim::Simulator& simulator, NodeId self, Rng rng,
-          CsmaParams params = {}, QueueParams queue = {},
+  CsmaMac(Medium& medium, sim::Simulator& simulator, ContentionSlots& slots,
+          NodeId self, Rng rng, CsmaParams params = {}, QueueParams queue = {},
           TrafficStats* stats = nullptr, obs::PacketTracer* tracer = nullptr);
 
   void send(Packet packet) override;
@@ -91,13 +116,14 @@ class CsmaMac final : public Mac {
   double queueDepthIntegral(sim::Time now) const override;
 
  private:
-  void attempt(Packet packet, std::uint32_t tries);
+  void attempt(std::uint32_t slot, std::uint32_t tries);
   void serve(Packet packet);
   void serveNext();
   void noteDepthChange();
 
   Medium& medium_;
   sim::Simulator& simulator_;
+  ContentionSlots& slots_;
   NodeId self_;
   Rng rng_;
   CsmaParams params_;

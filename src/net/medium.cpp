@@ -50,24 +50,46 @@ fault::GilbertElliottChain& Medium::chainFor(NodeId rx) {
   return it->second;
 }
 
+bool Medium::idle() const {
+  return freeSlots_.size() == slots_.size() &&
+         std::all_of(slots_.begin(), slots_.end(),
+                     [](const Reception& r) { return r.frame == nullptr; }) &&
+         std::all_of(rxOngoing_.begin(), rxOngoing_.end(),
+                     [](const auto& ongoing) { return ongoing.empty(); });
+}
+
+std::uint32_t Medium::acquireSlot() {
+  if (freeSlots_.empty()) {
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = freeSlots_.back();
+  freeSlots_.pop_back();
+  return slot;
+}
+
 void Medium::transmit(NodeId from, Packet packet) {
   const std::uint32_t retries =
       (params_.unicastArq && packet.hopDst != kBroadcastId)
           ? params_.maxArqRetries
           : 0;
-  transmitAttempt(from, std::move(packet), retries);
+  // One immutable frame per transmission: every receiver and every ARQ
+  // retransmission shares it.
+  packet.hopSrc = from;
+  transmitAttempt(std::make_shared<const Packet>(std::move(packet)), retries);
 }
 
-void Medium::transmitAttempt(NodeId from, Packet packet,
-                             std::uint32_t retriesLeft) {
-  if (!host_.aliveOf(from)) return;
+void Medium::transmitAttempt(const Frame& frame, std::uint32_t retriesLeft) {
+  WMSN_REQUIRE_MSG(hot_ != nullptr, "Medium::setHotState not wired");
+  const Packet& packet = *frame;
+  const NodeId from = packet.hopSrc;
+  if (!hot_->alive(from)) return;
 
   const sim::Time now = simulator_.now();
   const sim::Time end = now + airTime(packet);
-  const Point srcPos = host_.positionOf(from);
+  const Point srcPos{hot_->x(from), hot_->y(from)};
   const std::size_t bits = packet.sizeBits();
 
-  packet.hopSrc = from;
   ++framesTransmitted_;
   WMSN_PERF(kFramesTransmitted);
   host_.noteTransmit(packet.kind, packet.sizeBytes());
@@ -78,8 +100,7 @@ void Medium::transmitAttempt(NodeId from, Packet packet,
                packet.hopDst, obs::TraceDropReason::kNone, retriesLeft,
                static_cast<std::uint32_t>(packet.sizeBytes()));
 
-  WMSN_REQUIRE_MSG(hot_ != nullptr, "Medium::setHotState not wired");
-  const std::size_t n = host_.nodeCount();
+  const std::size_t n = hot_->size();
   if (busyUntil_.size() < n) busyUntil_.resize(n, sim::Time{});
   if (rxOngoing_.size() < n) rxOngoing_.resize(n);
 
@@ -90,38 +111,31 @@ void Medium::transmitAttempt(NodeId from, Packet packet,
   WMSN_PERF(kGridQueries);
   WMSN_PERF(kPairsExamined, scratch_.size());
   for (const std::uint32_t rx : scratch_) {
-    if (!radio_.linked(srcPos, Point{hot_->x(rx), hot_->y(rx)})) continue;
+    const Point rxPos{hot_->x(rx), hot_->y(rx)};
+    if (!radio_.linked(srcPos, rxPos)) continue;
     // Every radio in range hears energy on the channel — including the
     // sender itself and nodes that are asleep, failed, or dead. Carrier
     // sense is about the channel, not about who can decode.
     if (busyUntil_[rx] < end) busyUntil_[rx] = end;
-    if (rx == from || !host_.listeningOf(rx)) continue;
+    if (rx == from || !hot_->listening(rx)) continue;
 
     auto& ongoing = rxOngoing_[rx];
-    std::erase_if(ongoing, [&](const auto& r) { return r->end <= now; });
-
-    auto reception = std::make_shared<Reception>();
-    reception->receiver = rx;
-    reception->start = now;
-    reception->end = end;
-
+    bool corrupted = false;
     if (params_.collisions) {
-      for (const auto& other : ongoing) {
+      for (const std::uint32_t other : ongoing) {
+        Reception& o = slots_[other];
+        // A reception that ends now is over; only its rx-end event, due at
+        // this same instant, has yet to free it.
+        if (o.end <= now) continue;
         // Receiver capture: the radio stays locked on the frame it started
         // decoding first; a later-arriving overlapping frame is lost, but
         // does not corrupt the locked one. Simultaneous starts jam both.
-        if (other->start < now) {
-          reception->corrupted = true;
-        } else {
-          other->corrupted = true;
-          reception->corrupted = true;
-        }
+        if (o.start >= now) o.corrupted = true;
+        corrupted = true;
       }
     }
-    ongoing.push_back(reception);
 
-    const double pDeliver =
-        radio_.deliveryProbability(srcPos, host_.positionOf(rx));
+    const double pDeliver = radio_.deliveryProbability(srcPos, rxPos);
     WMSN_PERF(kRngDraws);
     const bool channelOk = rng_.chance(pDeliver);
     // Bursty fault-injection loss rides on top of the distance-based channel
@@ -130,72 +144,103 @@ void Medium::transmitAttempt(NodeId from, Packet packet,
     // without it.
     const bool linkOk =
         !params_.linkLoss.enabled || !chainFor(rx).step();
-    const bool isArqTarget = packet.hopDst == rx;
 
-    simulator_.scheduleAt(end, [this, reception, packet, channelOk, linkOk,
-                                isArqTarget, retriesLeft, from] {
-      const NodeId rxId = reception->receiver;
-      const bool rxAlive = host_.listeningOf(rxId);
-      const bool decoded =
-          rxAlive && !reception->corrupted && channelOk && linkOk;
-      if (rxAlive) {
-        // The radio listened for the whole frame either way.
-        host_.chargeRx(rxId, energy_.rxCost(packet.sizeBits()));
-        if (reception->corrupted) {
-          ++framesCorrupted_;
-          host_.noteCollision();
-        }
-        if (!reception->corrupted && channelOk && !linkOk)
-          ++framesLinkFaultDropped_;
-      }
-
-      if (isArqTarget && retriesLeft > 0 && !decoded) {
-        // 802.15.4 AUTO-ACK ARQ: no immediate ACK arrived — retransmit
-        // after the turnaround plus a short random backoff.
-        ++arqRetransmissions_;
-        WMSN_PERF(kRngDraws);
-        const sim::Time backoff =
-            params_.arqTurnaround +
-            sim::Time::microseconds(rng_.uniformInt(0, 1000));
-        simulator_.schedule(backoff, [this, from, packet, retriesLeft] {
-          transmitAttempt(from, packet, retriesLeft - 1);
-        });
-        return;
-      }
-      if (!decoded) {
-        // Terminal link-layer loss at the addressed receiver (ARQ budget —
-        // if any — is spent): attribute the hop's fate for the analyzer.
-        if (isArqTarget && packet.kind == PacketKind::kData)
-          WMSN_TRACE(tracer_, obs::TraceSpanKind::kDrop,
-                     simulator_.now().us, packet.uid, rxId, from,
-                     reception->corrupted
-                         ? obs::TraceDropReason::kCollision
-                         : obs::TraceDropReason::kLinkLoss,
-                     packet.hops,
-                     static_cast<std::uint32_t>(packet.sizeBytes()));
-        return;
-      }
-
-      if (isArqTarget && params_.unicastArq) {
-        // Successful unicast: account the immediate-ACK exchange (the ACK
-        // itself is modelled as reliable — it rides the SIFS turnaround).
-        const std::size_t ackBits = params_.ackFrameBytes * 8;
-        host_.chargeTx(rxId, energy_.txCost(ackBits, radio_.nominalRange()));
-        host_.chargeRx(from, energy_.rxCost(ackBits));
-      }
-
-      if (packet.hopDst != kBroadcastId && packet.hopDst != rxId &&
-          !promiscuous_.contains(rxId))
-        return;
-      host_.deliverFrame(rxId, packet, packet.hopSrc);
-    });
+    const std::uint32_t slot = acquireSlot();
+    slots_[slot] = Reception{.start = now,
+                             .end = end,
+                             .frame = frame,
+                             .receiver = rx,
+                             .retriesLeft = retriesLeft,
+                             .corrupted = corrupted,
+                             .channelOk = channelOk,
+                             .linkOk = linkOk,
+                             .isArqTarget = packet.hopDst == rx};
+    ongoing.push_back(slot);
+    simulator_.scheduleAt(end, [this, slot] { endReception(slot); });
   }
 }
 
+void Medium::endReception(std::uint32_t slot) {
+  // Copy the reception out and free its slot before anything else runs: the
+  // receive handler below can start transmissions that grow the table.
+  Reception& r = slots_[slot];
+  const NodeId rxId = r.receiver;
+  const bool corrupted = r.corrupted;
+  const bool channelOk = r.channelOk;
+  const bool linkOk = r.linkOk;
+  const bool isArqTarget = r.isArqTarget;
+  const std::uint32_t retriesLeft = r.retriesLeft;
+  Frame frame = std::move(r.frame);
+  auto& ongoing = rxOngoing_[rxId];
+  const auto it = std::find(ongoing.begin(), ongoing.end(), slot);
+  WMSN_INVARIANT_MSG(it != ongoing.end(),
+                     "a reception stays on its receiver's list until rx-end");
+  *it = ongoing.back();
+  ongoing.pop_back();
+  freeSlots_.push_back(slot);
+
+  const Packet& packet = *frame;
+  const NodeId from = packet.hopSrc;
+  const bool rxAlive = hot_->listening(rxId);
+  const bool decoded = rxAlive && !corrupted && channelOk && linkOk;
+  if (rxAlive) {
+    // The radio listened for the whole frame either way.
+    host_.chargeRx(rxId, energy_.rxCost(packet.sizeBits()));
+    if (corrupted) {
+      ++framesCorrupted_;
+      host_.noteCollision();
+    }
+    if (!corrupted && channelOk && !linkOk) ++framesLinkFaultDropped_;
+  }
+
+  // wmsn:fixed-draws — addressing, the ARQ budget and the decode outcome
+  // are simulation state (the outcome's own draws happened at transmit).
+  if (isArqTarget && retriesLeft > 0 && !decoded) {
+    // 802.15.4 AUTO-ACK ARQ: no immediate ACK arrived — retransmit the same
+    // frame after the turnaround plus a short random backoff.
+    ++arqRetransmissions_;
+    WMSN_PERF(kRngDraws);
+    const sim::Time backoff =
+        params_.arqTurnaround +
+        sim::Time::microseconds(rng_.uniformInt(0, 1000));
+    simulator_.schedule(backoff,
+                        [this, frame = std::move(frame), retriesLeft] {
+                          transmitAttempt(frame, retriesLeft - 1);
+                        });
+    return;
+  }
+  if (!decoded) {
+    // Terminal link-layer loss at the addressed receiver (ARQ budget — if
+    // any — is spent): attribute the hop's fate for the analyzer.
+    if (isArqTarget && packet.kind == PacketKind::kData)
+      WMSN_TRACE(tracer_, obs::TraceSpanKind::kDrop, simulator_.now().us,
+                 packet.uid, rxId, from,
+                 corrupted ? obs::TraceDropReason::kCollision
+                           : obs::TraceDropReason::kLinkLoss,
+                 packet.hops, static_cast<std::uint32_t>(packet.sizeBytes()));
+    return;
+  }
+
+  if (isArqTarget && params_.unicastArq) {
+    // Successful unicast: account the immediate-ACK exchange (the ACK
+    // itself is modelled as reliable — it rides the SIFS turnaround).
+    const std::size_t ackBits = params_.ackFrameBytes * 8;
+    host_.chargeTx(rxId, energy_.txCost(ackBits, radio_.nominalRange()));
+    host_.chargeRx(from, energy_.rxCost(ackBits));
+  }
+
+  if (packet.hopDst != kBroadcastId && packet.hopDst != rxId &&
+      !promiscuous_.contains(rxId))
+    return;
+  host_.deliverFrame(rxId, packet, from);
+}
+
 void Medium::transmitLongRange(NodeId from, NodeId to, Packet packet) {
-  if (!host_.aliveOf(from)) return;
+  WMSN_REQUIRE_MSG(hot_ != nullptr, "Medium::setHotState not wired");
+  if (!hot_->alive(from)) return;
   const sim::Time end = simulator_.now() + airTime(packet);
-  const double d = distance(host_.positionOf(from), host_.positionOf(to));
+  const double d = distance(Point{hot_->x(from), hot_->y(from)},
+                            Point{hot_->x(to), hot_->y(to)});
   const std::size_t bits = packet.sizeBits();
 
   packet.hopSrc = from;
@@ -205,8 +250,11 @@ void Medium::transmitLongRange(NodeId from, NodeId to, Packet packet) {
   host_.noteTransmit(packet.kind, packet.sizeBytes());
   host_.chargeTx(from, energy_.txCost(bits, d));
 
-  simulator_.scheduleAt(end, [this, to, packet] {
-    if (!host_.listeningOf(to)) return;
+  // One receiver, so the frame moves into the event rather than into a
+  // shared handle.
+  simulator_.scheduleAt(end, [this, packet = std::move(packet)] {
+    const NodeId to = packet.hopDst;
+    if (!hot_->listening(to)) return;
     host_.chargeRx(to, energy_.rxCost(packet.sizeBits()));
     host_.deliverFrame(to, packet, packet.hopSrc);
   });

@@ -17,18 +17,13 @@
 
 namespace wmsn::net {
 
-/// What the medium needs to know about the node population. Implemented by
-/// SensorNetwork; keeps Medium free of ownership cycles.
+/// What the medium reports back to the node population. Implemented by
+/// SensorNetwork; keeps Medium free of ownership cycles. Positions and the
+/// alive/listening flags are not asked of the host: the medium reads them
+/// from the sim::NodeStateBlock wired in with Medium::setHotState.
 class MediumHost {
  public:
   virtual ~MediumHost() = default;
-
-  virtual std::size_t nodeCount() const = 0;
-  virtual Point positionOf(NodeId id) const = 0;
-  virtual bool aliveOf(NodeId id) const = 0;
-  /// Alive AND radio on — frames only reach listening nodes (§4.4 sleep
-  /// scheduling turns radios off).
-  virtual bool listeningOf(NodeId id) const = 0;
 
   /// Energy charges; the host applies them to the node's battery and handles
   /// node death.
@@ -73,15 +68,20 @@ struct MediumParams {
 /// in the local neighborhood instead of the O(n) all-nodes sweep it used to.
 /// Carrier sense and collision state are per-node — a busy-until horizon and
 /// a per-receiver reception list — so neither ever scans a global vector.
+///
+/// Each transmission becomes one immutable, reference-counted frame that all
+/// of its receivers share; each reception is a slot in a medium-owned table
+/// (docs/KERNEL.md, "Hot path"), so the fan-out allocates nothing per
+/// receiver.
 class Medium {
  public:
   Medium(sim::Simulator& simulator, const RadioModel& radio,
          const EnergyParams& energy, MediumHost& host, MediumParams params,
          Rng rng);
 
-  /// Wires in the struct-of-arrays hot state (positions + spatial grid).
-  /// Must be set before the first transmit; SensorNetwork does so in its
-  /// constructor.
+  /// Wires in the struct-of-arrays hot state (positions, alive/listening
+  /// flags, spatial grid). Must be set before the first transmit;
+  /// SensorNetwork does so in its constructor.
   void setHotState(const sim::NodeStateBlock* hot) { hot_ = hot; }
 
   /// Begin transmitting `packet` from node `from` at fixed power (nominal
@@ -117,15 +117,31 @@ class Medium {
     return framesLinkFaultDropped_;
   }
 
+  /// True when no reception is in flight: every slot is on the free list,
+  /// no slot holds a frame handle, and no receiver lists an ongoing
+  /// reception. Holds whenever the simulator's queue is empty.
+  bool idle() const;
+
  private:
+  using Frame = std::shared_ptr<const Packet>;
+
+  /// One in-flight reception. Lives in `slots_` from the transmission that
+  /// starts it until its rx-end event, which frees it.
   struct Reception {
-    NodeId receiver;
     sim::Time start;
     sim::Time end;
+    Frame frame;  ///< null while the slot is free
+    NodeId receiver = kNoNode;
+    std::uint32_t retriesLeft = 0;  ///< ARQ budget of the attempt
     bool corrupted = false;
+    bool channelOk = false;  ///< distance-based delivery draw
+    bool linkOk = false;     ///< Gilbert–Elliott chain step
+    bool isArqTarget = false;
   };
 
-  void transmitAttempt(NodeId from, Packet packet, std::uint32_t retriesLeft);
+  void transmitAttempt(const Frame& frame, std::uint32_t retriesLeft);
+  void endReception(std::uint32_t slot);
+  std::uint32_t acquireSlot();
   fault::GilbertElliottChain& chainFor(NodeId rx);
 
   sim::Simulator& simulator_;
@@ -141,9 +157,14 @@ class Medium {
   /// whose sender was in range of this node when it keyed up. channelBusy is
   /// one array read; no transmission list is kept, let alone scanned.
   std::vector<sim::Time> busyUntil_;
-  /// Per-receiver in-flight receptions (collision bookkeeping). Expired
-  /// entries are pruned inline whenever a receiver gains a new reception.
-  std::vector<std::vector<std::shared_ptr<Reception>>> rxOngoing_;
+  /// Reception slot table and its free list. Slot indices, never
+  /// references, cross an event boundary: a receive handler can start new
+  /// transmissions, and acquiring a slot can reallocate the table.
+  std::vector<Reception> slots_;
+  std::vector<std::uint32_t> freeSlots_;
+  /// Per-receiver in-flight reception slots (collision bookkeeping). A slot
+  /// leaves its receiver's list at its rx-end event.
+  std::vector<std::vector<std::uint32_t>> rxOngoing_;
   /// Scratch for grid candidate queries — reused across transmissions.
   std::vector<std::uint32_t> scratch_;
   std::unordered_set<NodeId> promiscuous_;

@@ -42,10 +42,9 @@ NodeId SensorNetwork::addNode(NodeKind kind, Point position) {
       node->setMac(std::make_unique<IdealMac>(*medium_, id));
       break;
     case MacKind::kCsma:
-      node->setMac(std::make_unique<CsmaMac>(*medium_, simulator_, id,
-                                             rng_.fork(), params_.csma,
-                                             params_.queue, &stats_,
-                                             &tracer_));
+      node->setMac(std::make_unique<CsmaMac>(
+          *medium_, simulator_, macSlots_, id, rng_.fork(), params_.csma,
+          params_.queue, &stats_, &tracer_));
       break;
   }
   nodes_.push_back(std::move(node));
@@ -162,14 +161,6 @@ void SensorNetwork::setGatewayPosition(NodeId id, Point position) {
   Node& n = node(id);
   WMSN_REQUIRE_MSG(n.isGateway(), "only gateways move (§5.1)");
   n.setPosition(position);
-}
-
-Point SensorNetwork::positionOf(NodeId id) const { return node(id).position(); }
-
-bool SensorNetwork::aliveOf(NodeId id) const { return node(id).alive(); }
-
-bool SensorNetwork::listeningOf(NodeId id) const {
-  return node(id).listening();
 }
 
 void SensorNetwork::chargeTx(NodeId id, double joules) {

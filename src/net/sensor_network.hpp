@@ -142,11 +142,9 @@ class SensorNetwork final : public MediumHost {
   /// Moves a gateway (round boundary, §5.1). Requires a gateway id.
   void setGatewayPosition(NodeId id, Point position);
 
+  Point positionOf(NodeId id) const { return node(id).position(); }
+
   // --- MediumHost ---------------------------------------------------------
-  std::size_t nodeCount() const override { return nodes_.size(); }
-  Point positionOf(NodeId id) const override;
-  bool aliveOf(NodeId id) const override;
-  bool listeningOf(NodeId id) const override;
   void chargeTx(NodeId id, double joules) override;
   void chargeRx(NodeId id, double joules) override;
   void deliverFrame(NodeId to, const Packet& packet, NodeId from) override;
@@ -166,6 +164,9 @@ class SensorNetwork final : public MediumHost {
   sim::NodeStateBlock block_;
   std::vector<Battery> batteries_;
   std::unique_ptr<Medium> medium_;
+  /// In-flight frames of every CSMA MAC (declared before nodes_, which
+  /// hold the MACs that reference it).
+  ContentionSlots macSlots_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<NodeId> sensorIds_;
   std::vector<NodeId> gatewayIds_;

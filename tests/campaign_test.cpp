@@ -142,6 +142,23 @@ TEST(CampaignSpec, RejectsMalformedInput) {
       PreconditionError);
 }
 
+TEST(CampaignSpec, TraceSampleMustKeepAtLeastOnePermille) {
+  // Sampling is stored in whole permille: a fraction that rounds to 0 would
+  // trace nothing, so it is rejected with the key named.
+  core::ScenarioConfig cfg;
+  try {
+    campaign::applySetting(cfg, "trace-sample", "0.0004");
+    FAIL() << "trace-sample 0.0004 rounds to 0 permille and must throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("trace-sample"), std::string::npos)
+        << e.what();
+  }
+  campaign::applySetting(cfg, "trace-sample", "0.0005");
+  EXPECT_EQ(cfg.obs.traceSamplePermille, 1u);
+  campaign::applySetting(cfg, "trace-sample", "1");
+  EXPECT_EQ(cfg.obs.traceSamplePermille, 1000u);
+}
+
 TEST(CampaignSpec, FingerprintTracksText) {
   const auto a = campaign::parseSpec("[sweep]\nprotocol = spr\n");
   const auto b = campaign::parseSpec("[sweep]\nprotocol = mlr\n");

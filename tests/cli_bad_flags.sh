@@ -43,5 +43,9 @@ for flag in --protocol --attack --deployment --workload --queue-policy; do
 done
 expect_exit2 "$cli" --link-loss 1.5
 expect_exit2 "$cli" --trace-sample 0
+expect_exit2 "$cli" --trace-sample 0.0004
 expect_exit2 "$cli" --fault-plan zz
+# Fault-plan ordinals and rounds past 32 bits are errors, not truncations.
+expect_exit2 "$cli" --fault-plan s99999999999999999999999@3
+expect_exit2 "$cli" --fault-plan s1@99999999999
 exit "$status"

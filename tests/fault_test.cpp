@@ -40,6 +40,26 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_EQ(fault::parseFaultPlan("gw1@2,,s0@1").size(), 2u);
 }
 
+TEST(FaultPlan, RejectsOutOfRangeIntegers) {
+  // Ordinals and rounds are 32-bit; larger values are errors, never
+  // truncated and never a non-PreconditionError exception.
+  EXPECT_THROW(fault::parseFaultPlan("s99999999999999999999999@3"),
+               PreconditionError);
+  EXPECT_THROW(fault::parseFaultPlan("s1@99999999999"), PreconditionError);
+  EXPECT_THROW(fault::parseFaultPlan("gw4294967296@1"), PreconditionError);
+  const auto edge = fault::parseFaultPlan("s4294967295@4294967295");
+  ASSERT_EQ(edge.size(), 1u);
+  EXPECT_EQ(edge[0].ordinal, 4294967295u);
+  EXPECT_EQ(edge[0].round, 4294967295u);
+  try {
+    fault::parseFaultPlan("s1@99999999999");
+    FAIL() << "an out-of-range round must throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("round"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FaultPlan, SteadyStateLossFormula) {
   fault::GilbertElliottParams ge;
   ge.pGoodToBad = 0.05;

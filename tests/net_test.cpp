@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <numbers>
 
 #include "core/placement.hpp"
 #include "mesh/mesh_topology.hpp"
 #include "net/deployment.hpp"
 #include "net/mobility.hpp"
 #include "net/sensor_network.hpp"
+#include "obs/perf_stats.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::net {
@@ -359,6 +362,78 @@ TEST(Medium, LongRangeBypassesRadioRange) {
   const auto& ep = f.network.energyParams();
   EXPECT_NEAR(f.network.node(a).battery().txJ(),
               ep.txCost(Packet::kHeaderBytes * 8, 500.0), 1e-9);
+}
+
+// Heap allocations of one broadcast (transmit through the CSMA MAC, then
+// every reception) from a sender to `receivers` listening neighbours. A
+// warm-up broadcast first sizes the medium's and the MAC's slot tables and
+// the event heap.
+std::uint64_t broadcastAllocations(int receivers) {
+  NetFixture f;
+  const NodeId a = f.network.addSensor({0, 0});
+  int got = 0;
+  for (int i = 0; i < receivers; ++i) {
+    const double angle = 2.0 * std::numbers::pi * i / receivers;
+    const NodeId r = f.network.addSensor(
+        {20.0 * std::cos(angle), 20.0 * std::sin(angle)});
+    f.network.node(r).setReceiveHandler(
+        [&got](const Packet&, NodeId) { ++got; });
+  }
+  auto hello = [] {
+    Packet pkt;
+    pkt.kind = PacketKind::kHello;
+    pkt.hopDst = kBroadcastId;
+    pkt.payload.resize(24);
+    return pkt;
+  };
+  f.network.sendFrom(a, hello());
+  f.simulator.run();
+
+  Packet pkt = hello();
+  obs::AllocationScope scope;
+  f.network.sendFrom(a, std::move(pkt));
+  f.simulator.run();
+  EXPECT_EQ(got, 2 * receivers);
+  EXPECT_TRUE(f.network.medium().idle());
+  return scope.count();
+}
+
+TEST(Medium, BroadcastFanOutDoesNotAllocatePerReceiver) {
+  // One shared frame per transmission; receptions and MAC attempts live in
+  // slot tables and their events capture only a slot index.
+  const std::uint64_t four = broadcastAllocations(4);
+  const std::uint64_t many = broadcastAllocations(32);
+  EXPECT_EQ(four, many);
+  EXPECT_LE(many, 1u);  // the frame itself
+}
+
+TEST(Medium, IdleAfterArqAndCollisions) {
+  // Every reception slot is freed and every frame handle released once the
+  // simulator drains, through ARQ retransmissions and collisions alike.
+  SensorNetworkParams params;
+  params.seed = 11;
+  sim::Simulator simulator;
+  SensorNetwork network(simulator,
+                        std::make_unique<LogDistanceRadio>(10.0, 30.0),
+                        params);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 12; ++i)
+    ids.push_back(network.addSensor({6.0 * (i % 4), 6.0 * (i / 4)}));
+  for (const NodeId from : ids) {
+    Packet data;
+    data.kind = PacketKind::kData;
+    data.hopDst = ids[(from + 5) % ids.size()];
+    data.payload.resize(40);
+    network.sendFrom(from, data);
+    Packet hello;
+    hello.kind = PacketKind::kHello;
+    hello.hopDst = kBroadcastId;
+    network.sendFrom(from, hello);
+  }
+  simulator.run();
+  EXPECT_GT(network.medium().framesCorrupted(), 0u);
+  EXPECT_GT(network.medium().arqRetransmissions(), 0u);
+  EXPECT_TRUE(network.medium().idle());
 }
 
 TEST(SensorNetwork, GatewayRepositioning) {
